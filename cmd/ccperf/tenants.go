@@ -13,6 +13,7 @@ import (
 	"ccperf/internal/explore"
 	"ccperf/internal/fault"
 	"ccperf/internal/report"
+	"ccperf/internal/serving"
 	"ccperf/internal/tenant"
 )
 
@@ -50,6 +51,10 @@ func tenantLoadtest(o tenantLoadtestOpts) error {
 	if err != nil {
 		return fmt.Errorf("loadtest: -tenants: %w", err)
 	}
+	reg, err := tenant.NewRegistry(specs)
+	if err != nil {
+		return fmt.Errorf("loadtest: -tenants: %w", err)
+	}
 	opts := []ccperf.Option{
 		ccperf.WithTenants(specs),
 		ccperf.WithReplicas(o.replicas),
@@ -70,9 +75,9 @@ func tenantLoadtest(o tenantLoadtestOpts) error {
 	if err != nil {
 		return err
 	}
-	m := st.TenantMux()
+	g := st.Gateway()
 	st.Start()
-	rep, runErr := tenant.RunLoad(m, tenant.LoadConfig{
+	rep, runErr := tenant.RunLoad(g, reg, tenant.LoadConfig{
 		Duration: o.duration,
 		Seed:     o.seed,
 		Cooldown: o.cooldown,
@@ -83,24 +88,24 @@ func tenantLoadtest(o tenantLoadtestOpts) error {
 		return runErr
 	}
 
-	cfg := m.Config()
+	cfg := g.Config()
 	fmt.Printf("fleet    : %d tenants sharing %d replicas × batch ≤%d (%s pricing each), %s replay\n",
-		m.Registry().Len(), cfg.Replicas, cfg.MaxBatch, st.Instance().Name, o.duration)
+		reg.Len(), cfg.Replicas, cfg.MaxBatch, st.Instance().Name, o.duration)
 	if o.faults != nil && len(o.faults.Events) > 0 {
 		fmt.Printf("chaos    : %s\n", o.faults.String())
 	}
 	fmt.Print(rep.String())
 	if rep.Joint == nil {
-		cost := st.Instance().PricePerSecond() * m.ReplicaSeconds()
+		cost := st.Instance().PricePerSecond() * g.ReplicaSeconds()
 		fmt.Printf("cost     : $%.4f (%.1f replica-seconds of %s)\n",
-			cost, m.ReplicaSeconds(), st.Instance().Name)
+			cost, g.ReplicaSeconds(), st.Instance().Name)
 	}
 
 	if o.reportOut != "" {
 		payload := struct {
-			TenantReport *tenant.Report       `json:"tenant_report"`
-			Fleet        []tenant.TenantStats `json:"tenants"`
-		}{rep, m.Stats()}
+			TenantReport *tenant.Report        `json:"tenant_report"`
+			Fleet        []serving.TenantStats `json:"tenants"`
+		}{rep, g.AllTenantStats()}
 		if err := report.WriteEnvelopeFile(o.reportOut, report.KindLoadtest, payload); err != nil {
 			return fmt.Errorf("report-out: %w", err)
 		}
@@ -156,8 +161,8 @@ func mountTenantGateway(model, specPath, instance string, replicas int, autoscal
 		return nil, err
 	}
 	st.Start()
-	m := st.TenantMux()
-	h := tenant.Handler(m, st.TenantScaler())
+	g := st.Gateway()
+	h := tenant.Handler(g, st.TenantScaler())
 	hmux := http.NewServeMux()
 	hmux.Handle("/infer", h)
 	hmux.Handle("/gateway/status", h)
@@ -167,7 +172,7 @@ func mountTenantGateway(model, specPath, instance string, replicas int, autoscal
 			minReplicas, maxReplicas, budget, sc.Interval())
 	}
 	fmt.Fprintf(os.Stderr, "serve: multi-tenant gateway up (%d tenants sharing %d replicas; per-tenant rows at /gateway/status)\n",
-		m.Registry().Len(), m.ReplicaCount())
+		len(specs), g.ReplicaCount())
 	return hmux, nil
 }
 

@@ -29,7 +29,6 @@ type Stack struct {
 	inst    *cloud.Instance
 	gw      *serving.Gateway
 	scaler  *autoscale.Autoscaler
-	tmux    *tenant.Mux
 	tscaler *tenant.Scaler
 
 	// Transfer prediction is fitted lazily on first use; the calibration
@@ -134,12 +133,13 @@ func WithPolicy(p autoscale.Policy) Option {
 }
 
 // WithTenants hosts N tenants — each with its own pruning ladder, SLO,
-// admission quota, and fair-share weight — on one shared replica fleet
-// instead of the single-model gateway. Supersedes WithGateway: the stack
-// exposes a tenant.Mux (TenantMux) rather than a serving.Gateway. With
-// WithAutoscale, a joint tenant.Scaler (TenantScaler) drives the shared
-// replica count and every tenant's ladder rung — which tenant degrades
-// first is the one with the largest accuracy-per-dollar slack.
+// admission quota, and fair-share weight — on the gateway's shared replica
+// fleet instead of one model. Supersedes WithLadder: the gateway
+// (Gateway, also returned by TenantMux) serves each tenant through
+// SubmitAs. With WithAutoscale, a joint tenant.Scaler (TenantScaler)
+// drives the shared replica count and every tenant's ladder rung — which
+// tenant degrades first is the one with the largest accuracy-per-dollar
+// slack.
 func WithTenants(specs []tenant.Spec) Option {
 	return func(o *options) { o.tenants = specs }
 }
@@ -188,49 +188,21 @@ func Open(model string, opts ...Option) (*Stack, error) {
 		return nil, err
 	}
 	st := &Stack{sys: sys, planner: &Planner{sys: sys}, inst: inst, calibNames: o.calibration}
-	if len(o.tenants) > 0 {
-		return openTenants(st, &o)
-	}
-	if !o.gateway {
+	if !o.gateway && len(o.tenants) == 0 {
 		return st, nil
 	}
 
-	// The ladder and the autoscaler profiles are both derived from the
-	// system's shared predictor, so the accuracy the gateway advertises and
-	// the accuracy the planner optimizes come from the same curves.
-	ratios := o.ratios
-	if len(ratios) == 0 {
-		ratios = serving.DefaultLadderRatios
-	}
-	degrees, err := LadderDegrees(ratios)
-	if err != nil {
-		return nil, err
-	}
-	ladder, err := serving.BuildLadder(context.Background(), serving.TinyNet, degrees, prune.L1Filter, sys.engine)
-	if err != nil {
-		return nil, err
-	}
-
-	replicas := o.replicas
-	if o.autoscale {
-		if o.policy == nil {
-			if o.minReplicas <= 0 {
-				o.minReplicas = 1
-			}
-			if o.maxReplicas < o.minReplicas {
-				o.maxReplicas = o.minReplicas
-			}
+	// Ladders and autoscaler profiles are both derived from the system's
+	// shared predictor, so the accuracy the gateway advertises and the
+	// accuracy the planner optimizes come from the same curves.
+	buildLadder := func(ratios []float64) ([]serving.Variant, error) {
+		degrees, err := LadderDegrees(ratios)
+		if err != nil {
+			return nil, err
 		}
-		if replicas <= 0 {
-			replicas = o.minReplicas
-			if o.policy != nil && o.policy.Limits.MinReplicas > 0 {
-				replicas = o.policy.Limits.MinReplicas
-			}
-		}
+		return serving.BuildLadder(context.Background(), serving.TinyNet, degrees, prune.L1Filter, sys.engine)
 	}
-	gw, err := serving.New(serving.Config{
-		Ladder:          ladder,
-		Replicas:        replicas,
+	cfg := serving.Config{
 		QueueCap:        o.queueCap,
 		MaxBatch:        o.maxBatch,
 		BatchTimeout:    o.batchTimeout,
@@ -241,7 +213,38 @@ func Open(model string, opts ...Option) (*Stack, error) {
 		ExternalControl: o.autoscale,
 		Registry:        o.registry,
 		Tracer:          o.tracer,
-	})
+	}
+	var reg *tenant.Registry
+	if len(o.tenants) > 0 {
+		if reg, err = tenant.NewRegistry(o.tenants); err != nil {
+			return nil, err
+		}
+		if cfg.Tenants, err = reg.Tenants(buildLadder); err != nil {
+			return nil, err
+		}
+		o.policy = nil // a Policy describes one ladder; the joint scaler derives its own
+	} else if cfg.Ladder, err = buildLadder(o.ratios); err != nil {
+		return nil, err
+	}
+
+	cfg.Replicas = o.replicas
+	if o.autoscale {
+		if o.policy == nil {
+			if o.minReplicas <= 0 {
+				o.minReplicas = 1
+			}
+			if o.maxReplicas < o.minReplicas {
+				o.maxReplicas = o.minReplicas
+			}
+		}
+		if cfg.Replicas <= 0 {
+			cfg.Replicas = o.minReplicas
+			if o.policy != nil && o.policy.Limits.MinReplicas > 0 {
+				cfg.Replicas = o.policy.Limits.MinReplicas
+			}
+		}
+	}
+	gw, err := serving.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -249,27 +252,44 @@ func Open(model string, opts ...Option) (*Stack, error) {
 	if !o.autoscale {
 		return st, nil
 	}
+	limits := autoscale.Limits{
+		MinReplicas:         o.minReplicas,
+		MaxReplicas:         o.maxReplicas,
+		PricePerReplicaHour: inst.PricePerHour,
+		BudgetPerHour:       o.budget,
+	}
+	maxBatch := gw.Config().MaxBatch
+	if reg != nil {
+		profiles := make(map[string][]autoscale.Profile, reg.Len())
+		for _, spec := range reg.Specs() {
+			if profiles[spec.Name], err = ladderProfiles(sys, spec.Ladder, inst, maxBatch); err != nil {
+				return nil, err
+			}
+		}
+		st.tscaler, err = tenant.NewScaler(gw, reg, tenant.ScalerConfig{
+			Policy:   autoscale.JointPolicy{Limits: limits},
+			Profiles: profiles,
+			Interval: o.interval,
+			Registry: o.registry,
+			Tracer:   o.tracer,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return st, nil
+	}
 
 	var pol autoscale.Policy
 	if o.policy != nil {
 		pol = *o.policy
 	} else {
-		profiles, err := autoscale.BuildProfiles(context.Background(), sys.engine, degrees, inst, gw.Config().MaxBatch)
+		profiles, err := ladderProfiles(sys, o.ratios, inst, maxBatch)
 		if err != nil {
 			return nil, err
 		}
-		pol = autoscale.Policy{
-			SLOSeconds: gw.Config().SLO.Seconds(),
-			Limits: autoscale.Limits{
-				MinReplicas:         o.minReplicas,
-				MaxReplicas:         o.maxReplicas,
-				PricePerReplicaHour: inst.PricePerHour,
-				BudgetPerHour:       o.budget,
-			},
-			Profiles: profiles,
-		}
+		pol = autoscale.Policy{SLOSeconds: gw.Config().SLO.Seconds(), Limits: limits, Profiles: profiles}
 	}
-	scaler, err := autoscale.New(gw, autoscale.Config{
+	st.scaler, err = autoscale.New(gw, autoscale.Config{
 		Policy:   pol,
 		Interval: o.interval,
 		Registry: o.registry,
@@ -278,8 +298,17 @@ func Open(model string, opts ...Option) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.scaler = scaler
 	return st, nil
+}
+
+// ladderProfiles predicts one ladder's autoscaler profiles (accuracy and
+// relative speed per rung) on the shared engine.
+func ladderProfiles(sys *System, ratios []float64, inst *cloud.Instance, maxBatch int) ([]autoscale.Profile, error) {
+	degrees, err := LadderDegrees(ratios)
+	if err != nil {
+		return nil, err
+	}
+	return autoscale.BuildProfiles(context.Background(), sys.engine, degrees, inst, maxBatch)
 }
 
 // LadderDegrees maps prune-ratio rungs to the uniform conv1+conv2 degrees
@@ -299,97 +328,29 @@ func LadderDegrees(ratios []float64) ([]prune.Degree, error) {
 	return degrees, nil
 }
 
-// openTenants builds the multi-tenant serving stack: one mux hosting every
-// spec's private ladder, and — under WithAutoscale — the joint scaler with
-// per-tenant profiles derived from the shared predictor.
-func openTenants(st *Stack, o *options) (*Stack, error) {
-	buildLadder := func(ratios []float64) ([]serving.Variant, error) {
-		degrees, err := LadderDegrees(ratios)
-		if err != nil {
-			return nil, err
-		}
-		return serving.BuildLadder(context.Background(), serving.TinyNet, degrees, prune.L1Filter, st.sys.engine)
-	}
-	replicas := o.replicas
-	if o.autoscale {
-		if o.minReplicas <= 0 {
-			o.minReplicas = 1
-		}
-		if o.maxReplicas < o.minReplicas {
-			o.maxReplicas = o.minReplicas
-		}
-		if replicas <= 0 {
-			replicas = o.minReplicas
-		}
-	}
-	m, err := tenant.New(tenant.Config{
-		Specs:        o.tenants,
-		BuildLadder:  buildLadder,
-		Replicas:     replicas,
-		MaxBatch:     o.maxBatch,
-		BatchTimeout: o.batchTimeout,
-		WarmupDelay:  o.warmup,
-		Injector:     o.injector,
-		Registry:     o.registry,
-		Tracer:       o.tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	st.tmux = m
-	if !o.autoscale {
-		return st, nil
-	}
-
-	profiles := make(map[string][]autoscale.Profile, m.Registry().Len())
-	for _, spec := range m.Registry().Specs() {
-		degrees, err := LadderDegrees(spec.Ladder)
-		if err != nil {
-			return nil, err
-		}
-		prof, err := autoscale.BuildProfiles(context.Background(), st.sys.engine, degrees, st.inst, m.Config().MaxBatch)
-		if err != nil {
-			return nil, err
-		}
-		profiles[spec.Name] = prof
-	}
-	sc, err := tenant.NewScaler(m, tenant.ScalerConfig{
-		Policy: autoscale.JointPolicy{
-			Limits: autoscale.Limits{
-				MinReplicas:         o.minReplicas,
-				MaxReplicas:         o.maxReplicas,
-				PricePerReplicaHour: st.inst.PricePerHour,
-				BudgetPerHour:       o.budget,
-			},
-		},
-		Profiles: profiles,
-		Interval: o.interval,
-		Registry: o.registry,
-		Tracer:   o.tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	st.tscaler = sc
-	return st, nil
-}
-
 // System returns the measurement/characterization view.
 func (st *Stack) System() *System { return st.sys }
 
 // Planner returns the joint-space planning view.
 func (st *Stack) Planner() *Planner { return st.planner }
 
-// Gateway returns the online serving view (nil unless WithGateway).
+// Gateway returns the online serving view (nil unless WithGateway or
+// WithTenants).
 func (st *Stack) Gateway() *serving.Gateway { return st.gw }
 
 // Autoscaler returns the cost-accuracy control plane (nil unless
 // WithAutoscale).
 func (st *Stack) Autoscaler() *autoscale.Autoscaler { return st.scaler }
 
-// TenantMux returns the multi-tenant serving front-end (nil unless
-// WithTenants).
-func (st *Stack) TenantMux() *tenant.Mux { return st.tmux }
+// TenantMux returns the gateway when it hosts WithTenants' tenants (nil
+// otherwise) — the same *serving.Gateway as Gateway, kept so callers that
+// serve tenants through SubmitAs can ask for a multi-tenant front end.
+func (st *Stack) TenantMux() *serving.Gateway {
+	if st.gw == nil || len(st.gw.Config().Tenants) == 0 {
+		return nil
+	}
+	return st.gw
+}
 
 // TenantScaler returns the joint multi-tenant control plane (nil unless
 // both WithTenants and WithAutoscale).
@@ -438,9 +399,6 @@ func (st *Stack) Start() {
 	if st.scaler != nil {
 		st.scaler.Start()
 	}
-	if st.tmux != nil {
-		st.tmux.Start()
-	}
 	if st.tscaler != nil {
 		st.tscaler.Start()
 	}
@@ -451,9 +409,6 @@ func (st *Stack) Start() {
 func (st *Stack) Close() {
 	if st.tscaler != nil {
 		st.tscaler.Stop()
-	}
-	if st.tmux != nil {
-		st.tmux.Stop()
 	}
 	if st.scaler != nil {
 		st.scaler.Stop()

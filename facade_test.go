@@ -112,7 +112,7 @@ func TestOpenAutoscaleStack(t *testing.T) {
 	st.Close() // idempotent
 }
 
-// TestOpenTenantsStack: WithTenants builds the multi-tenant mux (each
+// TestOpenTenantsStack: WithTenants builds the multi-tenant gateway (each
 // tenant with its own ladder) and, with WithAutoscale, the joint scaler
 // whose profiles come from the shared predictor.
 func TestOpenTenantsStack(t *testing.T) {
@@ -126,10 +126,10 @@ func TestOpenTenantsStack(t *testing.T) {
 	}
 	m := st.TenantMux()
 	if m == nil {
-		t.Fatal("WithTenants must build a mux")
+		t.Fatal("WithTenants must build a multi-tenant gateway")
 	}
-	if st.Gateway() != nil {
-		t.Fatal("WithTenants supersedes the single-model gateway")
+	if st.Gateway() != m {
+		t.Fatal("WithTenants hosts the tenants on the stack's one gateway")
 	}
 	sc := st.TenantScaler()
 	if sc == nil {

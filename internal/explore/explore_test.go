@@ -383,9 +383,15 @@ func TestWorkersConfigurable(t *testing.T) {
 	if w := base.workers(); w != min(runtime.NumCPU(), len(base.Degrees)) {
 		t.Fatalf("default workers = %d", w)
 	}
-	one := Space{Pred: h, Degrees: someDegrees(), Workers: -5}
-	if one.workers() != 1 {
-		t.Fatalf("negative workers must floor at 1, got %d", one.workers())
+	// A negative count means the default, like 0: NumCPU capped by |P|.
+	neg := Space{Pred: h, Degrees: someDegrees(), Workers: -5}
+	if got, want := neg.workers(), (&Space{Degrees: someDegrees()}).workers(); got != want {
+		t.Fatalf("Workers -5 resolves to %d, want the Workers 0 default %d", got, want)
+	}
+	// With no degrees there is no unit of work to cap by, yet the pool
+	// still has one worker.
+	if w := (&Space{Pred: h, Workers: 4}).workers(); w != 1 {
+		t.Fatalf("empty degree set must floor at 1 worker, got %d", w)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 // Callers that keep results longer must Clone them.
 type Workspace struct {
 	// Workers is the goroutine fan-out for large dense convolution GEMMs
-	// (tensor.ParallelMatMulFusedInto); ≤ 1 keeps them serial. Plumbed
-	// from the serving gateway's ForwardWorkers config.
+	// (tensor.ParallelMatMulFusedInto); ≤ 1 keeps them serial, as the serving
+	// gateway runs them (its replicas already run in parallel).
 	Workers int
 
 	buckets [33][][]float32 // free buffers; bucket b holds cap 1<<b

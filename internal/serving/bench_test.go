@@ -99,20 +99,20 @@ func BenchmarkGatewayThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	done := make(chan Response, b.N)
-	submitted := 0
+	submitted, absorbed := 0, 0
 	for submitted < b.N {
 		ch, err := g.Submit(context.Background(), img, time.Time{})
 		if err != nil {
 			// Queue full: absorb a completion, then retry.
 			<-done
+			absorbed++
 			continue
 		}
 		submitted++
 		go func() { done <- <-ch }()
 	}
-	for drained := len(done); drained < submitted; {
+	for ; absorbed < submitted; absorbed++ {
 		<-done
-		drained++
 	}
 	b.StopTimer()
 	if sec := b.Elapsed().Seconds(); sec > 0 {

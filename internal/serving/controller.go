@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"ccperf/internal/stats"
 	"ccperf/internal/telemetry"
 )
 
@@ -105,20 +104,17 @@ func (g *Gateway) controlLoop() {
 	}
 }
 
-// ControlSignal drains the latency window accumulated since the last call
-// and snapshots queue pressure — one control interval's observation. It is
+// ControlSignal drains the first tenant's latency window (the only one of
+// a single-tenant gateway) accumulated since the last call and snapshots
+// its queue pressure — one control interval's observation. It is
 // consumed either by the gateway's own pruning controller or, under
 // Config.ExternalControl, by the autoscaler that has taken over both the
 // ladder and the replica count. Healthy carries the built-in controller's
 // streak; an external controller keeps its own.
 func (g *Gateway) ControlSignal() Signal {
-	window := g.takeWindow()
-	return Signal{
-		P99:       stats.Percentile(window, 0.99),
-		Samples:   len(window),
-		QueueFrac: float64(len(g.queue)) / float64(g.cfg.QueueCap),
-		Healthy:   g.healthy,
-	}
+	sig := g.signal(g.tenants[0])
+	sig.Healthy = g.healthy
+	return sig
 }
 
 // controlTick evaluates one interval and applies the decision. It is the
@@ -130,37 +126,26 @@ func (g *Gateway) controlTick() {
 	g.apply(action, sig)
 }
 
-// apply moves the pool along the ladder (clamped at the ends) and records
-// the decision: a counter per direction and one span carrying the signal
-// that drove it.
+// apply moves the ladder one rung (clamped at the ends) and records the
+// decision: a counter per direction and one span carrying the signal that
+// drove it.
 func (g *Gateway) apply(action Action, sig Signal) {
-	cur := int(g.variant.Load())
-	next := cur
+	t := g.tenants[0]
+	target := int(t.variant.Load())
 	switch action {
 	case Degrade:
-		if cur < len(g.cfg.Ladder)-1 {
-			next = cur + 1
-		}
+		target++
 	case Restore:
-		if cur > 0 {
-			next = cur - 1
-		}
+		target--
 	}
-	if next == cur {
+	from, to := g.move(t, target)
+	if from == to {
 		return
-	}
-	g.variant.Store(int64(next))
-	g.m.variantGauge.Set(float64(next))
-	switch action {
-	case Degrade:
-		g.m.degrades.Inc()
-	case Restore:
-		g.m.restores.Inc()
 	}
 	_, finish := g.cfg.Tracer.StartSpan(context.Background(), "serving."+action.String())
 	finish(
-		telemetry.L("from", g.cfg.Ladder[cur].Degree.Label()),
-		telemetry.L("to", g.cfg.Ladder[next].Degree.Label()),
+		telemetry.L("from", t.Ladder[from].Degree.Label()),
+		telemetry.L("to", t.Ladder[to].Degree.Label()),
 		telemetry.L("p99_seconds", sig.P99),
 		telemetry.L("samples", sig.Samples),
 		telemetry.L("queue_frac", sig.QueueFrac),

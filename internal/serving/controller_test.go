@@ -78,7 +78,7 @@ func TestControlTickDegradesAndRestores(t *testing.T) {
 	g := tickGateway(t)
 	// Interval with a violated p99 → one degrade step.
 	for i := 0; i < 100; i++ {
-		g.observeLatency(0.200)
+		g.tenants[0].observeLatency(0.200)
 	}
 	g.controlTick()
 	if got := g.CurrentVariant(); got != 1 {
@@ -86,11 +86,11 @@ func TestControlTickDegradesAndRestores(t *testing.T) {
 	}
 	// Still violated → bottom of the ladder; further violations clamp.
 	for i := 0; i < 100; i++ {
-		g.observeLatency(0.200)
+		g.tenants[0].observeLatency(0.200)
 	}
 	g.controlTick()
 	for i := 0; i < 100; i++ {
-		g.observeLatency(0.200)
+		g.tenants[0].observeLatency(0.200)
 	}
 	g.controlTick()
 	if got := g.CurrentVariant(); got != 2 {
@@ -124,7 +124,7 @@ func TestControlTickEmitsSpans(t *testing.T) {
 		Tracer: tr,
 	})
 	for i := 0; i < 10; i++ {
-		g.observeLatency(1.0)
+		g.tenants[0].observeLatency(1.0)
 	}
 	g.controlTick()
 	var found bool
@@ -152,7 +152,7 @@ func TestControllerDisabledForSingleVariantLadder(t *testing.T) {
 	// With one variant there is nothing to adapt; the control loop must
 	// not have been launched (Stop would hang on a stuck goroutine).
 	for i := 0; i < 10; i++ {
-		g.observeLatency(10)
+		g.tenants[0].observeLatency(10)
 	}
 	g.controlTick()
 	if g.CurrentVariant() != 0 {

@@ -97,14 +97,16 @@ func TestStatusForMapping(t *testing.T) {
 		want int
 	}{
 		{ErrOverloaded, http.StatusTooManyRequests},
+		{ErrQuotaExceeded, http.StatusTooManyRequests},
+		{ErrUnknownTenant, http.StatusNotFound},
 		{ErrExpired, http.StatusGatewayTimeout},
 		{ErrStopped, http.StatusServiceUnavailable},
 		{ErrFaulted, http.StatusInternalServerError},
 		{errors.New("anything else"), http.StatusInternalServerError},
 	}
 	for _, c := range cases {
-		if got := statusFor(c.err); got != c.want {
-			t.Errorf("statusFor(%v) = %d, want %d", c.err, got, c.want)
+		if got := StatusFor(c.err); got != c.want {
+			t.Errorf("StatusFor(%v) = %d, want %d", c.err, got, c.want)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func Handler(g *Gateway) http.Handler {
 			http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		shape := g.cfg.Ladder[0].Net.Input
+		shape := g.tenants[0].Ladder[0].Net.Input
 		var img *tensor.Tensor
 		switch {
 		case len(req.Image) > 0:
@@ -73,7 +73,7 @@ func Handler(g *Gateway) http.Handler {
 		}
 		resp := g.Infer(r.Context(), img, deadline)
 		if resp.Err != nil {
-			http.Error(w, resp.Err.Error(), statusFor(resp.Err))
+			http.Error(w, resp.Err.Error(), StatusFor(resp.Err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -95,10 +95,15 @@ func Handler(g *Gateway) http.Handler {
 	return mux
 }
 
-func statusFor(err error) int {
+// StatusFor maps a response error to the HTTP status both gateway
+// handlers answer with: back-pressure (shedding, quota) is 429, an unknown
+// tenant 404, an expired deadline 504, shutdown 503, anything else 500.
+func StatusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrOverloaded):
+	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrQuotaExceeded):
 		return http.StatusTooManyRequests
+	case errors.Is(err, ErrUnknownTenant):
+		return http.StatusNotFound
 	case errors.Is(err, ErrExpired):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, ErrStopped):

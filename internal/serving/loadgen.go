@@ -43,6 +43,11 @@ type Report struct {
 	Faulted      int   `json:"faulted"`
 	Retries      int64 `json:"retries"`
 	BreakerOpens int64 `json:"breaker_opens"`
+	// Stopped, Rejected and Other complete the outcome buckets (see
+	// Classify): Submitted = OK+Shed+Expired+Faulted+Stopped+Rejected+Other.
+	Stopped  int `json:"stopped"`
+	Rejected int `json:"rejected"`
+	Other    int `json:"other"`
 
 	WallSeconds float64 `json:"wall_seconds"`
 	Throughput  float64 `json:"throughput_rps"` // served requests per wall second
@@ -85,8 +90,9 @@ func RunLoad(g *Gateway, cfg LoadConfig) (*Report, error) {
 	windowSec := cfg.Duration.Seconds() / float64(len(cfg.Trace.Windows))
 	arrivals := workload.ArrivalTimes(cfg.Trace, windowSec, cfg.Seed)
 
-	shape := g.cfg.Ladder[0].Net.Input
-	rep := &Report{PerVariant: make([]int, len(g.cfg.Ladder))}
+	ladder := g.tenants[0].Ladder
+	shape := ladder[0].Net.Input
+	rep := &Report{PerVariant: make([]int, len(ladder))}
 	var mu sync.Mutex
 	latencies := make([]float64, 0, len(arrivals))
 	var wg sync.WaitGroup
@@ -109,7 +115,7 @@ func RunLoad(g *Gateway, cfg LoadConfig) (*Report, error) {
 		ch, err := g.Submit(ctx, img, deadline)
 		if err != nil {
 			mu.Lock()
-			countError(rep, err)
+			rep.count(err)
 			mu.Unlock()
 			continue
 		}
@@ -119,11 +125,10 @@ func RunLoad(g *Gateway, cfg LoadConfig) (*Report, error) {
 			resp := <-ch
 			mu.Lock()
 			defer mu.Unlock()
+			rep.count(resp.Err)
 			if resp.Err != nil {
-				countError(rep, resp.Err)
 				return
 			}
-			rep.OK++
 			rep.PerVariant[resp.Variant]++
 			rep.MeanAccuracy += resp.Accuracy
 			if rep.MinAccuracy == 0 || resp.Accuracy < rep.MinAccuracy {
@@ -153,31 +158,42 @@ func RunLoad(g *Gateway, cfg LoadConfig) (*Report, error) {
 	return rep, nil
 }
 
-func countError(rep *Report, err error) {
-	switch err {
-	case ErrOverloaded:
-		rep.Shed++
-	case ErrExpired:
-		rep.Expired++
-	case ErrFaulted:
-		rep.Faulted++
+// count adds one submission or response result to its outcome bucket.
+func (r *Report) count(err error) {
+	switch Classify(err) {
+	case OutcomeOK:
+		r.OK++
+	case OutcomeShed:
+		r.Shed++
+	case OutcomeExpired:
+		r.Expired++
+	case OutcomeFaulted:
+		r.Faulted++
+	case OutcomeStopped:
+		r.Stopped++
+	case OutcomeRejected:
+		r.Rejected++
+	default:
+		r.Other++
 	}
 }
 
-// ErrorRate is the fraction of submitted requests that were shed, expired,
-// or faulted — the loadtest CLI gates its exit status on this.
+// ErrorRate is the fraction of submitted requests that failed — shed,
+// expired, faulted, stopped or otherwise; quota rejections are deliberate
+// back-pressure and do not count. The loadtest CLI gates its exit status
+// on this.
 func (r *Report) ErrorRate() float64 {
 	if r.Submitted == 0 {
 		return 0
 	}
-	return float64(r.Shed+r.Expired+r.Faulted) / float64(r.Submitted)
+	return float64(r.Shed+r.Expired+r.Faulted+r.Stopped+r.Other) / float64(r.Submitted)
 }
 
 // String renders the report for the CLI.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "requests : %d submitted, %d ok, %d shed, %d expired, %d faulted\n",
-		r.Submitted, r.OK, r.Shed, r.Expired, r.Faulted)
+	fmt.Fprintf(&b, "requests : %d submitted, %d ok, %d shed, %d expired, %d faulted, %d stopped, %d rejected, %d other\n",
+		r.Submitted, r.OK, r.Shed, r.Expired, r.Faulted, r.Stopped, r.Rejected, r.Other)
 	fmt.Fprintf(&b, "latency  : p50 %.1f ms, p95 %.1f ms, p99 %.1f ms, max %.1f ms\n",
 		r.P50MS, r.P95MS, r.P99MS, r.MaxMS)
 	fmt.Fprintf(&b, "rate     : %.0f req/s served over %.2f s\n", r.Throughput, r.WallSeconds)

@@ -108,6 +108,9 @@ func TestRunLoadReport(t *testing.T) {
 	if rep.OK+rep.Shed+rep.Expired != rep.Submitted {
 		t.Fatalf("outcomes don't add up: %+v", rep)
 	}
+	if got := rep.OK + rep.Shed + rep.Expired + rep.Faulted + rep.Stopped + rep.Rejected + rep.Other; got != rep.Submitted {
+		t.Fatalf("outcome buckets sum to %d, submitted %d", got, rep.Submitted)
+	}
 	if rep.OK == 0 {
 		t.Fatal("no request served")
 	}

@@ -82,21 +82,53 @@ func TestStopScaleInRace(t *testing.T) {
 	}
 }
 
+// TestWarmupDelaysNewReplicaOnly: a replica added by ScaleTo sits out an
+// hour-long warm-up while the Start-time replica keeps serving. Each Infer
+// gets 10s, so a warm replica answers with room to spare and a replica
+// wrongly held in warm-up blows the deadline; Stop must not wait out the
+// warm-up either. Warm-up is one code path, so the two-tenant gateway
+// runs the same checks.
 func TestWarmupDelaysNewReplicaOnly(t *testing.T) {
-	g := testGateway(t, Config{Replicas: 1, WarmupDelay: 50 * time.Millisecond})
-	g.Start()
-	defer g.Stop()
-	// The Start-time replica is warm: a request lands immediately.
-	start := time.Now()
-	if resp := g.Infer(context.Background(), testImage(1), time.Time{}); resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-	if d := time.Since(start); d > 40*time.Millisecond {
-		t.Fatalf("initial replica appears to have warmed up (%v)", d)
-	}
-	g.ScaleTo(2) // the new replica warms up but must not disturb service
-	if resp := g.Infer(context.Background(), testImage(2), time.Time{}); resp.Err != nil {
-		t.Fatal(resp.Err)
+	ladder := testLadder(t)
+	for _, tc := range []struct {
+		name    string
+		tenants []Tenant
+		submit  []string
+	}{
+		{name: "single", submit: []string{DefaultTenant}},
+		{name: "two-tenant", tenants: []Tenant{{Name: "a", Ladder: ladder}, {Name: "b", Ladder: ladder}}, submit: []string{"a", "b"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Replicas: 1, WarmupDelay: time.Hour, Tenants: tc.tenants}
+			if tc.tenants == nil {
+				cfg.Ladder = ladder
+			}
+			g := testGateway(t, cfg)
+			g.Start()
+			infer := func(seed int64) {
+				t.Helper()
+				for _, name := range tc.submit {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					resp := g.InferAs(ctx, name, testImage(seed), time.Time{})
+					cancel()
+					if resp.Err != nil {
+						t.Fatalf("tenant %s: %v (a replica held in warm-up?)", name, resp.Err)
+					}
+				}
+			}
+			infer(1) // the Start-time replica is warm
+			if n, err := g.ScaleTo(2); err != nil || n != 2 {
+				t.Fatalf("ScaleTo(2) = %d, %v", n, err)
+			}
+			infer(2) // the warming replica must not disturb service
+			stopped := make(chan struct{})
+			go func() { g.Stop(); close(stopped) }()
+			select {
+			case <-stopped:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Stop waited on the warming replica")
+			}
+		})
 	}
 }
 

@@ -4,21 +4,30 @@
 // traffic, serving actually accepts requests, batches them, runs them
 // through the real internal/nn forward path, and answers under a deadline.
 //
-// Three mechanisms cooperate:
+// Four mechanisms cooperate:
 //
-//   - A bounded admission queue with per-request deadlines. When the queue
-//     is full, new requests are shed immediately (ErrOverloaded) instead of
-//     growing latency without bound; requests whose deadline passes while
-//     queued are dropped before dispatch (ErrExpired).
-//   - Per-replica dynamic batchers. Each replica coalesces queued requests
-//     up to Config.MaxBatch or until Config.BatchTimeout after the first
-//     request of the batch, whichever comes first, then executes the batch
-//     through nn.(*Net).ForwardBatch — the serving-side analogue of the
-//     GPU batch saturation of Figure 5.
-//   - A load-adaptive pruning controller (controller.go) that moves the
-//     whole pool along a ladder of pre-pruned model variants when the
-//     observed p99 latency or queue pressure violates the SLO — trading
-//     accuracy for throughput along exactly the axis of Figures 6–8.
+//   - Bounded per-tenant admission with per-request deadlines. Each tenant
+//     (one DefaultTenant unless Config.Tenants declares several) has a
+//     token-bucket quota and a bounded backlog. A request over quota is
+//     rejected (ErrQuotaExceeded); one that finds the backlog full is shed
+//     immediately (ErrOverloaded) instead of growing latency without
+//     bound; one whose deadline passes while queued is dropped before
+//     dispatch (ErrExpired).
+//   - Per-replica dynamic batchers over a shared fleet. A replica picks the
+//     next tenant by weighted deficit round-robin, then coalesces that
+//     tenant's requests up to Config.MaxBatch or until Config.BatchTimeout
+//     after the first, whichever comes first, and stops waiting early when
+//     another tenant has work queued. The batch runs through
+//     nn.(*Net).ForwardBatchPool on pooled workspaces — the serving-side
+//     analogue of the GPU batch saturation of Figure 5.
+//   - Resilience: per-replica circuit breakers and a retry path for
+//     fault-injected requests (chaos testing through Config.Injector).
+//   - A load-adaptive pruning controller (controller.go) that moves a
+//     single-tenant gateway along its ladder of pre-pruned variants when
+//     the observed p99 latency or queue pressure violates the SLO —
+//     trading accuracy for throughput along exactly the axis of
+//     Figures 6–8. Multi-tenant ladders move through SetTenantVariant,
+//     driven by internal/tenant's joint scaler.
 //
 // Every admission decision, batch execution and ladder move is recorded in
 // internal/telemetry (metric names in docs/SERVING.md).
@@ -40,7 +49,8 @@ import (
 
 // Errors returned by Submit and reported in Response.Err.
 var (
-	// ErrOverloaded means the admission queue was full (load shedding).
+	// ErrOverloaded means the tenant's admission backlog was full (load
+	// shedding).
 	ErrOverloaded = errors.New("serving: overloaded, request shed")
 	// ErrExpired means the request's deadline passed while it queued.
 	ErrExpired = errors.New("serving: deadline expired before dispatch")
@@ -53,13 +63,18 @@ var (
 
 // Config parameterizes a Gateway. Zero fields take the documented defaults.
 type Config struct {
-	// Ladder is the variant ladder, least-pruned (most accurate) first.
-	// Required, at least one variant.
+	// Ladder is the variant ladder of a single-tenant gateway, least
+	// pruned (most accurate) first. Set it or Tenants, not both.
 	Ladder []Variant
+	// Tenants declares the models a multi-tenant gateway hosts on its
+	// shared fleet, each with its own ladder. Without it the gateway hosts
+	// one DefaultTenant built from Ladder, QueueCap, Deadline and SLO.
+	Tenants []Tenant
 	// Replicas is the number of batcher goroutines (default 2) — the
 	// in-process stand-in for fleet size.
 	Replicas int
-	// QueueCap bounds the admission queue (default 64·Replicas).
+	// QueueCap bounds each tenant's admission backlog unless the tenant
+	// sets its own (default 64·Replicas).
 	QueueCap int
 	// MaxBatch caps a dynamic batch (default 8).
 	MaxBatch int
@@ -67,10 +82,11 @@ type Config struct {
 	// request (default 2ms).
 	BatchTimeout time.Duration
 	// Deadline is the default per-request deadline applied at admission
-	// when the caller supplies none (0 = no deadline).
+	// when neither the caller nor the tenant supplies one (0 = none).
 	Deadline time.Duration
-	// SLO is the p99 latency target the controller defends (default
-	// 50ms). Control is disabled when the ladder has a single variant.
+	// SLO is the p99 latency target the controller defends and the
+	// default tenant SLO of on-time accounting (default 50ms). Control is
+	// disabled when the ladder has a single variant.
 	SLO time.Duration
 	// ControlInterval is the controller tick period (default SLO, min 1ms).
 	ControlInterval time.Duration
@@ -83,9 +99,6 @@ type Config struct {
 	// HoldIntervals is the number of consecutive healthy intervals before
 	// one restoration step (default 3).
 	HoldIntervals int
-	// ForwardWorkers sizes each batch execution's worker pool (default 1;
-	// replicas already run in parallel).
-	ForwardWorkers int
 	// Injector, when non-nil, drives chaos testing: each batch asks it
 	// whether the replica is crashed and which requests to fail. Failed
 	// requests go through the retry path below. Use *fault.Schedule.
@@ -110,21 +123,14 @@ type Config struct {
 	// ExternalControl disables the built-in pruning controller so an
 	// outside control plane (internal/autoscale) owns both the ladder and
 	// the replica count, through ControlSignal, SetVariant and ScaleTo.
+	// A gateway with Tenants is always externally controlled.
 	ExternalControl bool
 	// Registry and Tracer receive telemetry (nil = package defaults).
 	Registry *telemetry.Registry
 	Tracer   *telemetry.Tracer
 }
 
-func (c *Config) defaults() error {
-	if len(c.Ladder) == 0 {
-		return fmt.Errorf("serving: config needs a non-empty Ladder")
-	}
-	for i, v := range c.Ladder {
-		if v.Net == nil {
-			return fmt.Errorf("serving: ladder variant %d has nil net", i)
-		}
-	}
+func (c *Config) defaults() {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
 	}
@@ -155,9 +161,6 @@ func (c *Config) defaults() error {
 	if c.HoldIntervals <= 0 {
 		c.HoldIntervals = 3
 	}
-	if c.ForwardWorkers <= 0 {
-		c.ForwardWorkers = 1
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 2
 	} else if c.MaxRetries < 0 {
@@ -178,7 +181,6 @@ func (c *Config) defaults() error {
 	if c.Tracer == nil {
 		c.Tracer = telemetry.DefaultTracer
 	}
-	return nil
 }
 
 // Response is one request's outcome.
@@ -200,9 +202,9 @@ type Response struct {
 	Attempts int
 }
 
-// DefaultTenant labels single-tenant traffic in the tenant-keyed stage
-// histograms: Submit tags every request with it, so StageStatsByTenant
-// stays meaningful on paths that never name a tenant.
+// DefaultTenant is the one tenant of a gateway configured with a plain
+// Ladder: Submit and Infer submit as it, and its rows in the per-tenant
+// stats and stage histograms are the single-tenant view.
 const DefaultTenant = "default"
 
 // request is the queued form of one submission. ctx carries the
@@ -210,6 +212,7 @@ const DefaultTenant = "default"
 // closes that span exactly once when the request is answered.
 type request struct {
 	id       int64
+	t        *tenantState
 	img      *tensor.Tensor
 	deadline time.Time // zero = none
 	enqueued time.Time
@@ -217,9 +220,6 @@ type request struct {
 	ctx      context.Context
 	finish   telemetry.FinishFunc
 	done     chan Response
-	// stages is the tenant-keyed stage histogram set the request reports
-	// into (resolved once at admission, so the hot path never locks).
-	stages *stageSet
 }
 
 // respond finishes the request's span with its outcome and delivers the
@@ -229,30 +229,13 @@ type request struct {
 func (r *request) respond(resp Response) {
 	if r.finish != nil {
 		r.finish(
-			telemetry.L("outcome", outcomeLabel(resp.Err)),
+			r.t.label(),
+			telemetry.L("outcome", Classify(resp.Err).String()),
 			telemetry.L("attempts", resp.Attempts),
 		)
 		r.finish = nil
 	}
 	r.done <- resp
-}
-
-// outcomeLabel names a response error for span labels.
-func outcomeLabel(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, ErrExpired):
-		return "expired"
-	case errors.Is(err, ErrFaulted):
-		return "faulted"
-	case errors.Is(err, ErrOverloaded):
-		return "shed"
-	case errors.Is(err, ErrStopped):
-		return "stopped"
-	default:
-		return "error"
-	}
 }
 
 // replicaHandle is one live replica's control block. The id is stable for
@@ -266,21 +249,32 @@ type replicaHandle struct {
 }
 
 // Gateway is the online inference service. Construct with New, then Start;
-// Submit/Infer from any goroutine; Stop for a graceful drain. The replica
-// set is dynamic: ScaleTo adds and retires batcher goroutines at runtime.
+// Submit/SubmitAs/Infer from any goroutine; Stop for a graceful drain. The
+// replica set is dynamic: ScaleTo adds and retires batcher goroutines at
+// runtime.
 type Gateway struct {
 	cfg     Config
-	queue   chan *request
+	tenants []*tenantState // declaration order; the DRR visiting order
+	byName  map[string]*tenantState
 	startAt time.Time // set by Start; injector elapsed-time origin
 
 	nextID   atomic.Int64
-	variant  atomic.Int64 // current ladder index
 	stopping atomic.Bool
 	stopCh   chan struct{}
 	started  atomic.Bool
 
 	submits sync.WaitGroup // in-flight Submit calls
 	workers sync.WaitGroup // replica + controller goroutines
+
+	// qMu guards every tenant backlog and deficit, the DRR cursor and
+	// current tenant (the one still owed service this round, or -1), and
+	// queued (the backlog total). arrivals is the replicas' wake-up
+	// signal (see wake).
+	qMu      sync.Mutex
+	queued   int
+	cursor   int
+	current  int
+	arrivals chan struct{}
 
 	// scaleMu guards the replica set and the replica-seconds integral.
 	// Stop takes it as a barrier before closing stopCh, so a concurrent
@@ -299,27 +293,16 @@ type Gateway struct {
 	execSeconds float64
 	execServed  int64
 
-	// window collects the current control interval's total latencies
-	// (seconds); the controller swaps it out each tick.
-	windowMu sync.Mutex
-	window   []float64
-
-	// stageMu guards the tenant-keyed stage histogram sets; defaultStages
-	// is prefetched so the single-tenant path skips the map.
-	stageMu       sync.Mutex
-	stageSets     map[string]*stageSet
-	defaultStages *stageSet
-
 	healthy int // consecutive healthy intervals (controller goroutine only)
 
-	// wsPool hands forward workspaces to batch workers. Warmed at Start so
-	// steady-state batches run the nn forward path allocation-free.
+	// wsPool hands forward workspaces to batch workers, so steady-state
+	// batches run the nn forward path allocation-free.
 	wsPool *nn.WorkspacePool
 
 	m gatewayMetrics
 }
 
-// gatewayMetrics holds the resolved telemetry instruments so hot paths
+// gatewayMetrics holds the resolved fleet-wide instruments so hot paths
 // skip the registry map lookups.
 type gatewayMetrics struct {
 	admitted, shed, expired, served *telemetry.Counter
@@ -336,13 +319,18 @@ type gatewayMetrics struct {
 
 // New validates the config and builds a gateway (not yet serving).
 func New(cfg Config) (*Gateway, error) {
-	if err := cfg.defaults(); err != nil {
+	cfg.defaults()
+	decl, err := cfg.resolveTenants()
+	if err != nil {
 		return nil, err
 	}
 	g := &Gateway{
-		cfg:    cfg,
-		queue:  make(chan *request, cfg.QueueCap),
-		stopCh: make(chan struct{}),
+		cfg:      cfg,
+		byName:   make(map[string]*tenantState, len(decl)),
+		current:  -1,
+		arrivals: make(chan struct{}, 1),
+		stopCh:   make(chan struct{}),
+		wsPool:   nn.NewWorkspacePool(1),
 	}
 	reg := cfg.Registry
 	g.m = gatewayMetrics{
@@ -367,10 +355,13 @@ func New(cfg Config) (*Gateway, error) {
 		forward:       reg.Histogram("serving.stage_forward_seconds", nil),
 		wsAllocsPerOp: reg.Gauge("serving.ws_allocs_per_op"),
 	}
-	g.wsPool = nn.NewWorkspacePool(cfg.ForwardWorkers)
 	g.m.variantGauge.Set(0)
-	g.stageSets = make(map[string]*stageSet)
-	g.defaultStages = g.stageSetFor(DefaultTenant)
+	for _, t := range decl {
+		ts := newTenantState(t, cfg.MaxBatch, reg)
+		ts.m.variant.Set(0)
+		g.tenants = append(g.tenants, ts)
+		g.byName[t.Name] = ts
+	}
 	for i := 0; i < cfg.Replicas; i++ {
 		g.replicas = append(g.replicas, g.newReplicaLocked())
 	}
@@ -433,7 +424,7 @@ func (g *Gateway) ReplicaCount() int {
 // returns the resulting count. Scale-out spawns fresh batchers that begin
 // serving after Config.WarmupDelay; scale-in retires the newest replicas
 // by closing their private stop channels — each finishes its in-flight
-// batch and exits without touching the shared queue, which the surviving
+// batch and exits without touching the backlogs, which the surviving
 // replicas keep draining. Calling ScaleTo during or after Stop is a no-op
 // returning ErrStopped.
 func (g *Gateway) ScaleTo(n int) (int, error) {
@@ -473,13 +464,12 @@ func (g *Gateway) ScaleTo(n int) (int, error) {
 // Config returns the resolved (defaulted) configuration.
 func (g *Gateway) Config() Config { return g.cfg }
 
-// Start launches the replica batchers and, unless Config.ExternalControl
-// hands the ladder to an outside control plane, the pruning controller.
+// Start launches the replica batchers and, unless the ladder is under
+// external control, the pruning controller.
 func (g *Gateway) Start() {
 	if !g.started.CompareAndSwap(false, true) {
 		return
 	}
-	g.warmWorkspaces()
 	g.scaleMu.Lock()
 	g.startAt = time.Now()
 	g.repMark = g.startAt
@@ -494,32 +484,6 @@ func (g *Gateway) Start() {
 	}
 }
 
-// warmWorkspaces pre-sizes one forward workspace per batch worker across
-// the fleet (Replicas × ForwardWorkers, each bounded by the model's peak
-// activation footprint) by pushing a zero image of the largest ladder
-// variant through each before any traffic arrives. Steady-state batches
-// then hit only warm buckets — the ws_allocs_per_op gauge decays from the
-// warm-up cost toward zero.
-func (g *Gateway) warmWorkspaces() {
-	n := g.cfg.Replicas * g.cfg.ForwardWorkers
-	if n < 1 {
-		n = 1
-	}
-	v := &g.cfg.Ladder[0]
-	img := tensor.New(v.Net.Input.C, v.Net.Input.H, v.Net.Input.W)
-	wss := make([]*nn.Workspace, 0, n)
-	// Hold all n before returning any, so the sync.Pool actually minted n
-	// distinct workspaces.
-	for i := 0; i < n; i++ {
-		ws := g.wsPool.Get()
-		v.Net.Forward(img, ws)
-		wss = append(wss, ws)
-	}
-	for _, ws := range wss {
-		g.wsPool.Put(ws)
-	}
-}
-
 // Stop drains and shuts down: in-flight submissions land, queued requests
 // are served, goroutines exit. Safe to call once; Submit after (or during)
 // Stop returns ErrStopped.
@@ -527,7 +491,7 @@ func (g *Gateway) Stop() {
 	if !g.stopping.CompareAndSwap(false, true) {
 		return
 	}
-	g.submits.Wait() // no new queue sends after this
+	g.submits.Wait() // no new admissions after this
 	// Barrier against a racing ScaleTo: any call that entered before the
 	// stopping flag flipped has finished mutating the replica set (and
 	// registering its workers) once we hold scaleMu; any later call sees
@@ -538,25 +502,22 @@ func (g *Gateway) Stop() {
 	g.scaleMu.Unlock()
 	close(g.stopCh)
 	g.workers.Wait()
-	// Everything left in the queue was drained by the replicas. A request
-	// can still sit here if Start was never called, or if a sleeping retry
-	// re-enqueued it after the replicas finished draining; workers.Wait
-	// covers the retry goroutines, so by now the queue is quiescent.
-	for {
-		select {
-		case r := <-g.queue:
+	// Everything left in the backlogs was drained by the replicas. A
+	// request can still sit there if Start was never called, or if a
+	// sleeping retry re-enqueued it after the replicas finished draining;
+	// workers.Wait covers the retry goroutines, so by now the backlogs are
+	// quiescent.
+	for t, batch := g.takeBatch(); t != nil; t, batch = g.takeBatch() {
+		for _, r := range batch {
 			r.respond(Response{ID: r.id, Err: ErrStopped, Attempts: r.attempts})
-		default:
-			return
 		}
 	}
 }
 
-// Submit enqueues one image for inference and returns a channel that will
-// receive exactly one Response. deadline zero applies Config.Deadline.
-// Shedding and shutdown are reported as errors immediately. The request
-// is attributed to DefaultTenant in the tenant-keyed stage histograms;
-// multi-tenant callers use SubmitAs.
+// Submit enqueues one image for inference as DefaultTenant and returns a
+// channel that will receive exactly one Response. deadline zero applies
+// the tenant's default deadline. Shedding and shutdown are reported as
+// errors immediately.
 //
 // ctx is the request's trace context (nil is treated as Background): a
 // serving.request span opens here and closes when the request is answered,
@@ -565,13 +526,18 @@ func (g *Gateway) Submit(ctx context.Context, img *tensor.Tensor, deadline time.
 	return g.SubmitAs(ctx, DefaultTenant, img, deadline)
 }
 
-// SubmitAs is Submit with an explicit tenant label: the request's stage
-// latencies (queue wait, batch assembly, nn forward) land in histograms
-// keyed by the tenant, so per-stage attribution survives multi-tenant
-// traffic through one gateway. An empty tenant maps to DefaultTenant.
+// SubmitAs is Submit on behalf of the named tenant (empty = DefaultTenant):
+// the request is charged to the tenant's quota, queued in its backlog,
+// served at its current rung, and its stage latencies land in the
+// tenant's histograms. An unknown tenant is ErrUnknownTenant; an empty
+// quota bucket is ErrQuotaExceeded.
 func (g *Gateway) SubmitAs(ctx context.Context, tenant string, img *tensor.Tensor, deadline time.Time) (<-chan Response, error) {
 	if img == nil {
 		return nil, fmt.Errorf("serving: nil image")
+	}
+	t, err := g.lookup(tenant)
+	if err != nil {
+		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -582,12 +548,18 @@ func (g *Gateway) SubmitAs(ctx context.Context, tenant string, img *tensor.Tenso
 		return nil, ErrStopped
 	}
 	now := time.Now()
-	if deadline.IsZero() && g.cfg.Deadline > 0 {
-		deadline = now.Add(g.cfg.Deadline)
+	t.m.submitted.Inc()
+	if !t.bucket.allow(now) {
+		t.m.rejected.Inc()
+		return nil, fmt.Errorf("%w: tenant %s over %g req/s", ErrQuotaExceeded, t.Name, t.QPS)
+	}
+	if deadline.IsZero() && t.Deadline > 0 {
+		deadline = now.Add(t.Deadline)
 	}
 	sctx, finish := g.cfg.Tracer.StartSpan(ctx, "serving.request")
 	r := &request{
 		id:       g.nextID.Add(1),
+		t:        t,
 		img:      img,
 		deadline: deadline,
 		enqueued: now,
@@ -595,24 +567,27 @@ func (g *Gateway) SubmitAs(ctx context.Context, tenant string, img *tensor.Tenso
 		ctx:      sctx,
 		finish:   finish,
 		done:     make(chan Response, 1),
-		stages:   g.stageSetFor(tenant),
 	}
-	select {
-	case g.queue <- r:
-		g.m.admitted.Inc()
-		g.m.queueDepth.Set(float64(len(g.queue)))
-		return r.done, nil
-	default:
+	if !g.enqueue(r) {
 		g.m.shed.Inc()
-		finish(telemetry.L("outcome", "shed"), telemetry.L("attempts", 0))
+		t.m.shed.Inc()
+		finish(t.label(), telemetry.L("outcome", OutcomeShed.String()), telemetry.L("attempts", 0))
 		return nil, ErrOverloaded
 	}
+	g.m.admitted.Inc()
+	t.m.admitted.Inc()
+	return r.done, nil
 }
 
 // Infer is the synchronous form of Submit: it blocks until the response
 // (including admission errors, reported in Response.Err).
 func (g *Gateway) Infer(ctx context.Context, img *tensor.Tensor, deadline time.Time) Response {
-	ch, err := g.Submit(ctx, img, deadline)
+	return g.InferAs(ctx, DefaultTenant, img, deadline)
+}
+
+// InferAs is the synchronous form of SubmitAs.
+func (g *Gateway) InferAs(ctx context.Context, tenant string, img *tensor.Tensor, deadline time.Time) Response {
+	ch, err := g.SubmitAs(ctx, tenant, img, deadline)
 	if err != nil {
 		return Response{Err: err}
 	}
@@ -626,11 +601,11 @@ func (g *Gateway) Infer(ctx context.Context, img *tensor.Tensor, deadline time.T
 	}
 }
 
-// replica is one dynamic batcher: wait for a first request, fill the batch
-// until MaxBatch or BatchTimeout, drop expired entries, execute, respond.
-// warmup delays the first pull (a freshly scaled-out replica booting); a
-// close of h.stop (scale-in) exits after the in-flight batch, while a
-// close of g.stopCh (shutdown) drains the shared queue first.
+// replica is one dynamic batcher: take the next tenant's batch by deficit
+// round-robin, let it fill (see fill), execute, respond. warmup delays the
+// first pull (a freshly scaled-out replica booting); a close of h.stop
+// (scale-in) exits after the in-flight batch, while a close of g.stopCh
+// (shutdown) drains the backlogs first.
 func (g *Gateway) replica(h *replicaHandle, warmup time.Duration) {
 	defer g.workers.Done()
 	if warmup > 0 {
@@ -648,8 +623,13 @@ func (g *Gateway) replica(h *replicaHandle, warmup time.Duration) {
 		<-timer.C
 	}
 	for {
+		select {
+		case <-h.stop:
+			return // retired: the surviving replicas own the backlogs
+		default:
+		}
 		// An open breaker takes this replica out of rotation: it stops
-		// pulling from the shared queue, so traffic re-routes to healthy
+		// pulling from the backlogs, so traffic re-routes to healthy
 		// replicas (and, capacity now short, the pruning controller
 		// degrades the ladder if latency suffers).
 		if wait := h.brk.waitTime(time.Now()); wait > 0 {
@@ -663,37 +643,48 @@ func (g *Gateway) replica(h *replicaHandle, warmup time.Duration) {
 			}
 			continue
 		}
-		var first *request
-		select {
-		case first = <-g.queue:
-		case <-h.stop:
-			return // retired: the surviving replicas own the queue
-		case <-g.stopCh:
-			g.drain(h)
-			return
+		t, batch := g.takeBatch()
+		if t == nil {
+			select {
+			case <-g.arrivals:
+			case <-h.stop:
+				return
+			case <-g.stopCh:
+				g.drain(h)
+				return
+			}
+			continue
 		}
 		pulledAt := time.Now() // batch-assembly stage starts here
-		batch := make([]*request, 1, g.cfg.MaxBatch)
-		batch[0] = first
-		timer.Reset(g.cfg.BatchTimeout)
-	fill:
-		for len(batch) < g.cfg.MaxBatch {
-			select {
-			case r := <-g.queue:
-				batch = append(batch, r)
-			case <-timer.C:
-				break fill
-			case <-h.stop:
-				// Flush what we have, then exit on the next iteration.
-				break fill
-			case <-g.stopCh:
-				// Flush what we have; the post-stop drain picks up the rest.
-				break fill
-			}
-		}
-		stopTimer(timer)
-		g.execute(h, batch, pulledAt)
+		batch = g.fill(h, t, batch, timer)
+		g.execute(h, t, batch, pulledAt)
 	}
+}
+
+// fill tops a batch up from its tenant's backlog until MaxBatch, until
+// BatchTimeout after the first pull, or until another tenant has work
+// queued — whichever comes first. The last condition never fires on a
+// single-tenant gateway, which therefore batches exactly as a FIFO
+// batcher would.
+func (g *Gateway) fill(h *replicaHandle, t *tenantState, batch []*request, timer *time.Timer) []*request {
+	timer.Reset(g.cfg.BatchTimeout)
+	defer stopTimer(timer)
+	for len(batch) < g.cfg.MaxBatch {
+		var alone bool
+		if batch, alone = g.takeMore(t, batch); !alone || len(batch) >= g.cfg.MaxBatch {
+			break
+		}
+		select {
+		case <-g.arrivals:
+		case <-timer.C:
+			return batch
+		case <-h.stop:
+			return batch // flush what we have, then exit
+		case <-g.stopCh:
+			return batch // flush; the post-stop drain picks up the rest
+		}
+	}
+	return batch
 }
 
 func stopTimer(t *time.Timer) {
@@ -705,49 +696,40 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// drain serves whatever is still queued at shutdown, in MaxBatch groups.
-// Multiple replicas drain concurrently until the queue is empty.
+// drain serves whatever is still queued at shutdown, batch by batch in
+// deficit round-robin order. Multiple replicas drain concurrently until
+// every backlog is empty.
 func (g *Gateway) drain(h *replicaHandle) {
 	for {
-		pulledAt := time.Now()
-		batch := make([]*request, 0, g.cfg.MaxBatch)
-		for len(batch) < g.cfg.MaxBatch {
-			select {
-			case r := <-g.queue:
-				batch = append(batch, r)
-			default:
-				goto flush
-			}
-		}
-	flush:
-		if len(batch) == 0 {
+		t, batch := g.takeBatch()
+		if t == nil {
 			return
 		}
-		g.execute(h, batch, pulledAt)
+		g.execute(h, t, batch, time.Now())
 	}
 }
 
-// execute runs one coalesced batch: expired requests are answered with
-// ErrExpired, fault-injected ones go through the retry path, and the rest
-// run the current variant's forward path. The replica's breaker observes
+// execute runs one single-tenant batch: expired requests are answered
+// with ErrExpired, fault-injected ones go through the retry path, and the
+// rest run the tenant's current variant. The replica's breaker observes
 // the batch outcome: a crashed replica (or a batch the injector failed
-// wholesale) counts as a failure. pulledAt is when the replica received
-// the batch's first request — now−pulledAt is the batch-assembly stage.
-func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time) {
+// wholesale) counts as a failure. pulledAt is when the replica took the
+// batch's first request — now−pulledAt is the batch-assembly stage.
+func (g *Gateway) execute(h *replicaHandle, t *tenantState, batch []*request, pulledAt time.Time) {
 	now := time.Now()
 	asm := now.Sub(pulledAt).Seconds()
 	g.m.assembly.Observe(asm)
-	forEachStageSet(batch, func(s *stageSet) { s.assembly.Observe(asm) })
+	t.m.assembly.Observe(asm)
 	live := batch[:0]
 	for _, r := range batch {
 		if !r.deadline.IsZero() && now.After(r.deadline) {
 			g.m.expired.Inc()
+			t.m.expired.Inc()
 			r.respond(Response{ID: r.id, Err: ErrExpired, Attempts: r.attempts, Queue: now.Sub(r.enqueued), Total: now.Sub(r.enqueued)})
 			continue
 		}
 		live = append(live, r)
 	}
-	g.m.queueDepth.Set(float64(len(g.queue)))
 	if len(live) == 0 {
 		return
 	}
@@ -769,6 +751,7 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 	}
 	if len(failed) > 0 {
 		g.m.faulted.Add(int64(len(failed)))
+		t.m.faulted.Add(int64(len(failed)))
 		for _, r := range failed {
 			g.retryOrFail(r)
 		}
@@ -777,17 +760,16 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 			return
 		}
 	}
-	vi := int(g.variant.Load())
-	v := &g.cfg.Ladder[vi]
+	vi := int(t.variant.Load())
+	v := &t.Ladder[vi]
 	imgs := make([]*tensor.Tensor, len(live))
 	for i, r := range live {
 		imgs[i] = r.img
 	}
 	// The batch span parents under the first live request's serving.request
-	// span (satellite fix: it used to start from context.Background(), so
-	// request↔batch linkage was impossible). The nn forward pass gets its
-	// own child span so queue/assembly/forward attribution shows up in the
-	// trace tree, not just the stage histograms.
+	// span, and the nn forward pass gets its own child span, so
+	// queue/assembly/forward attribution shows up in the trace tree, not
+	// just the stage histograms.
 	parent := live[0].ctx
 	if parent == nil {
 		parent = context.Background()
@@ -795,16 +777,17 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 	execStart := time.Now()
 	bctx, finish := g.cfg.Tracer.StartSpan(parent, "serving.batch")
 	_, finishFwd := g.cfg.Tracer.StartSpan(bctx, "serving.forward")
-	outs := v.Net.ForwardBatchPool(imgs, g.cfg.ForwardWorkers, g.wsPool)
+	outs := v.Net.ForwardBatchPool(imgs, 1, g.wsPool)
 	fwdDone := time.Now()
-	finishFwd(telemetry.L("workers", g.cfg.ForwardWorkers))
+	finishFwd()
 	if a, _, gets := g.wsPool.AllocStats(); gets > 0 {
 		g.m.wsAllocsPerOp.Set(float64(a) / float64(gets))
 	}
 	fwd := fwdDone.Sub(execStart).Seconds()
 	g.m.forward.Observe(fwd)
-	forEachStageSet(live, func(s *stageSet) { s.forward.Observe(fwd) })
+	t.m.forward.Observe(fwd)
 	finish(
+		t.label(),
 		telemetry.L("replica", h.id),
 		telemetry.L("batch", len(live)),
 		telemetry.L("variant", v.Degree.Label()),
@@ -818,21 +801,24 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 	g.execMu.Unlock()
 	h.brk.observe(true, done)
 	for i, r := range live {
-		total := done.Sub(r.enqueued)
+		queue, total := now.Sub(r.enqueued), done.Sub(r.enqueued)
 		g.m.served.Inc()
-		g.m.queueWait.Observe(now.Sub(r.enqueued).Seconds())
-		if r.stages != nil {
-			r.stages.queueWait.Observe(now.Sub(r.enqueued).Seconds())
+		t.m.served.Inc()
+		if total <= t.SLO {
+			t.m.onTime.Inc()
 		}
+		g.m.queueWait.Observe(queue.Seconds())
+		t.m.queueWait.Observe(queue.Seconds())
 		g.m.total.Observe(total.Seconds())
-		g.observeLatency(total.Seconds())
+		t.m.total.Observe(total.Seconds())
+		t.observeLatency(total.Seconds())
 		r.respond(Response{
 			ID:       r.id,
 			Class:    outs[i].ArgMax(),
 			Variant:  vi,
 			Degree:   v.Degree.Label(),
 			Accuracy: v.Accuracy,
-			Queue:    now.Sub(r.enqueued),
+			Queue:    queue,
 			Total:    total,
 			Batch:    len(live),
 			Attempts: r.attempts,
@@ -842,11 +828,13 @@ func (g *Gateway) execute(h *replicaHandle, batch []*request, pulledAt time.Time
 
 // retryOrFail handles one fault-injected request. If the retry budget and
 // the request's deadline allow another attempt, it re-enqueues the request
-// after an exponential backoff with deterministic jitter (so seeded chaos
-// runs repeat); otherwise it answers ErrFaulted. Requests whose remaining
-// deadline budget cannot cover the backoff are expired immediately rather
-// than retried into certain failure.
+// into its tenant's backlog after an exponential backoff with
+// deterministic jitter (so seeded chaos runs repeat); otherwise it answers
+// ErrFaulted. Requests whose remaining deadline budget cannot cover the
+// backoff are expired immediately rather than retried into certain
+// failure.
 func (g *Gateway) retryOrFail(r *request) {
+	t := r.t
 	fail := func(err error) {
 		age := time.Since(r.enqueued)
 		r.respond(Response{ID: r.id, Err: err, Attempts: r.attempts, Queue: age, Total: age})
@@ -859,11 +847,13 @@ func (g *Gateway) retryOrFail(r *request) {
 	backoff += time.Duration(fault.Frac(uint64(r.id)*0x9e3779b97f4a7c15+uint64(r.attempts)) * float64(backoff))
 	if !r.deadline.IsZero() && time.Now().Add(backoff).After(r.deadline) {
 		g.m.expired.Inc()
+		t.m.expired.Inc()
 		fail(ErrExpired)
 		return
 	}
 	r.attempts++
 	g.m.retries.Inc()
+	t.m.retries.Inc()
 	// Registered in g.workers: the caller is a replica goroutine (itself
 	// counted), so the group can't hit zero concurrently with this Add,
 	// and Stop's workers.Wait covers sleeping retries.
@@ -875,35 +865,17 @@ func (g *Gateway) retryOrFail(r *request) {
 			fail(ErrStopped)
 			return
 		}
-		select {
-		case g.queue <- r:
-			g.m.queueDepth.Set(float64(len(g.queue)))
-		default:
+		if !g.enqueue(r) {
 			g.m.shed.Inc()
+			t.m.shed.Inc()
 			fail(ErrOverloaded)
 		}
 	}()
 }
 
-// observeLatency adds one completed-request latency to the controller's
-// current interval window.
-func (g *Gateway) observeLatency(sec float64) {
-	g.windowMu.Lock()
-	g.window = append(g.window, sec)
-	g.windowMu.Unlock()
-}
-
-// takeWindow swaps out the interval window.
-func (g *Gateway) takeWindow() []float64 {
-	g.windowMu.Lock()
-	w := g.window
-	g.window = nil
-	g.windowMu.Unlock()
-	return w
-}
-
 // Stats is a point-in-time view of the gateway's counters, for /status and
-// the loadtest report.
+// the loadtest report. The ladder fields describe the first tenant (the
+// only one of a single-tenant gateway); AllTenantStats has every tenant's.
 type Stats struct {
 	Variant  int     `json:"variant"`
 	Degree   string  `json:"degree"`
@@ -929,8 +901,8 @@ type Stats struct {
 	Breakers     []string `json:"breakers"`
 	// Workspace-pool health: cumulative scratch-buffer allocations by the
 	// forward workspaces, total workspace checkouts, and their ratio. The
-	// count plateaus after warm-up — a growing ratio means the
-	// zero-allocation steady state is broken.
+	// count plateaus once traffic has warmed the pool — a growing ratio
+	// means the zero-allocation steady state is broken.
 	WsAllocs      uint64  `json:"ws_allocs"`
 	WsGets        uint64  `json:"ws_gets"`
 	WsAllocsPerOp float64 `json:"ws_allocs_per_op"`
@@ -938,8 +910,9 @@ type Stats struct {
 
 // Stats snapshots the gateway.
 func (g *Gateway) Stats() Stats {
-	vi := int(g.variant.Load())
-	v := g.cfg.Ladder[vi]
+	first := g.tenants[0]
+	vi := int(first.variant.Load())
+	v := first.Ladder[vi]
 	open := 0
 	g.scaleMu.Lock()
 	states := make([]string, len(g.replicas))
@@ -956,6 +929,13 @@ func (g *Gateway) Stats() Stats {
 		repSec += float64(replicas) * time.Since(g.repMark).Seconds()
 	}
 	g.scaleMu.Unlock()
+	g.qMu.Lock()
+	depth := g.queued
+	g.qMu.Unlock()
+	queueCap := 0
+	for _, t := range g.tenants {
+		queueCap += t.QueueCap
+	}
 	wsAllocs, _, wsGets := g.wsPool.AllocStats()
 	var wsPerOp float64
 	if wsGets > 0 {
@@ -967,8 +947,8 @@ func (g *Gateway) Stats() Stats {
 		Accuracy:       v.Accuracy,
 		Replicas:       replicas,
 		ReplicaSeconds: repSec,
-		QueueDepth:     len(g.queue),
-		QueueCap:       g.cfg.QueueCap,
+		QueueDepth:     depth,
+		QueueCap:       queueCap,
 		Admitted:       g.m.admitted.Value(),
 		Served:         g.m.served.Value(),
 		Shed:           g.m.shed.Value(),
@@ -987,49 +967,66 @@ func (g *Gateway) Stats() Stats {
 	}
 }
 
-// CurrentVariant returns the ladder index requests are being served at.
-func (g *Gateway) CurrentVariant() int { return int(g.variant.Load()) }
+// CurrentVariant returns the ladder index the first tenant (the only one
+// of a single-tenant gateway) is served at.
+func (g *Gateway) CurrentVariant() int { return int(g.tenants[0].variant.Load()) }
 
-// SetVariant moves the ladder to rung target (clamped to the ladder ends)
-// and returns the rung now in effect. Each rung crossed counts as one
-// degrade or restore in the gateway's counters, so an external controller
-// jumping several rungs stays comparable with the built-in one-step
-// controller. Safe from any goroutine.
+// SetVariant moves the first tenant's ladder (the only one of a
+// single-tenant gateway) to rung target, clamped to the ladder ends, and
+// returns the rung now in effect. Each rung crossed counts as one degrade
+// or restore in the gateway's and the tenant's counters, so an external
+// controller jumping several rungs stays comparable with the built-in
+// one-step controller. Safe from any goroutine.
 //
 // ctx is the caller's trace context (nil = Background): an external
 // control plane passes its decision span's context so the
-// serving.set_variant span links to the autoscaler verb that caused it.
+// serving.set_variant span links to the verb that caused it.
 func (g *Gateway) SetVariant(ctx context.Context, target int) int {
+	return g.setVariant(ctx, g.tenants[0], target)
+}
+
+func (g *Gateway) setVariant(ctx context.Context, t *tenantState, target int) int {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if target < 0 {
-		target = 0
-	}
-	if last := len(g.cfg.Ladder) - 1; target > last {
-		target = last
-	}
-	for {
-		cur := g.variant.Load()
-		next := int64(target)
-		if next == cur {
-			return target
-		}
-		if !g.variant.CompareAndSwap(cur, next) {
-			continue
-		}
-		g.m.variantGauge.Set(float64(next))
-		if steps := next - cur; steps > 0 {
-			g.m.degrades.Add(steps)
-		} else {
-			g.m.restores.Add(-steps)
-		}
+	from, to := g.move(t, target)
+	if from != to {
 		_, finish := g.cfg.Tracer.StartSpan(ctx, "serving.set_variant")
 		finish(
-			telemetry.L("from", g.cfg.Ladder[cur].Degree.Label()),
-			telemetry.L("to", g.cfg.Ladder[next].Degree.Label()),
+			t.label(),
+			telemetry.L("from", t.Ladder[from].Degree.Label()),
+			telemetry.L("to", t.Ladder[to].Degree.Label()),
 		)
-		return target
+	}
+	return to
+}
+
+// move sets t's rung to target (clamped to the ladder ends), counts every
+// rung crossed as a degrade or restore, and returns the rungs before and
+// after.
+func (g *Gateway) move(t *tenantState, target int) (from, to int) {
+	target = max(0, min(target, len(t.Ladder)-1))
+	for {
+		cur := t.variant.Load()
+		next := int64(target)
+		if next == cur {
+			return target, target
+		}
+		if !t.variant.CompareAndSwap(cur, next) {
+			continue
+		}
+		t.m.variant.Set(float64(next))
+		if t == g.tenants[0] {
+			g.m.variantGauge.Set(float64(next))
+		}
+		if steps := next - cur; steps > 0 {
+			g.m.degrades.Add(steps)
+			t.m.degrades.Add(steps)
+		} else {
+			g.m.restores.Add(-steps)
+			t.m.restores.Add(-steps)
+		}
+		return int(cur), target
 	}
 }
 
@@ -1054,61 +1051,8 @@ type Stages struct {
 	NNForward     StageSummary `json:"nn_forward"`
 }
 
-// stageSet is one tenant's keyed stage histograms. Requests resolve their
-// set once at admission; batch stages are observed once per distinct
-// tenant present in the batch.
-type stageSet struct {
-	queueWait, assembly, forward *telemetry.Histogram
-}
-
-// stageSetFor returns (lazily creating) the tenant's stage histogram set.
-// The default tenant's set is prefetched so single-tenant traffic skips
-// the lock after construction.
-func (g *Gateway) stageSetFor(tenant string) *stageSet {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	if tenant == DefaultTenant && g.defaultStages != nil {
-		return g.defaultStages
-	}
-	g.stageMu.Lock()
-	defer g.stageMu.Unlock()
-	if s, ok := g.stageSets[tenant]; ok {
-		return s
-	}
-	reg := g.cfg.Registry
-	s := &stageSet{
-		queueWait: reg.Histogram("serving.queue_seconds."+tenant, nil),
-		assembly:  reg.Histogram("serving.stage_assembly_seconds."+tenant, nil),
-		forward:   reg.Histogram("serving.stage_forward_seconds."+tenant, nil),
-	}
-	g.stageSets[tenant] = s
-	return s
-}
-
-// forEachStageSet calls fn once per distinct stage set among the batch's
-// requests (batches are small, so the duplicate scan is a few pointer
-// compares).
-func forEachStageSet(reqs []*request, fn func(*stageSet)) {
-	for i, r := range reqs {
-		if r.stages == nil {
-			continue
-		}
-		dup := false
-		for _, prev := range reqs[:i] {
-			if prev.stages == r.stages {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			fn(r.stages)
-		}
-	}
-}
-
 // StageStats summarizes the per-stage latency histograms across all
-// tenants (the aggregate the single-tenant report always carried).
+// tenants.
 func (g *Gateway) StageStats() Stages {
 	return Stages{
 		QueueWait:     SummarizeStage(g.m.queueWait),
@@ -1117,24 +1061,8 @@ func (g *Gateway) StageStats() Stages {
 	}
 }
 
-// StageStatsByTenant summarizes the stage histograms keyed by tenant
-// label. Single-tenant traffic appears under DefaultTenant.
-func (g *Gateway) StageStatsByTenant() map[string]Stages {
-	g.stageMu.Lock()
-	defer g.stageMu.Unlock()
-	out := make(map[string]Stages, len(g.stageSets))
-	for tenant, s := range g.stageSets {
-		out[tenant] = Stages{
-			QueueWait:     SummarizeStage(s.queueWait),
-			BatchAssembly: SummarizeStage(s.assembly),
-			NNForward:     SummarizeStage(s.forward),
-		}
-	}
-	return out
-}
-
 // SummarizeStage folds one stage histogram (recorded in seconds) into a
-// millisecond StageSummary — shared with the tenant mux's keyed stages.
+// millisecond StageSummary.
 func SummarizeStage(h *telemetry.Histogram) StageSummary {
 	s := h.Snapshot()
 	const ms = 1e3 // histograms record seconds
@@ -1150,8 +1078,8 @@ func SummarizeStage(h *telemetry.Histogram) StageSummary {
 // ExecStats reports the cumulative served-request count and batch
 // execution busy-time across all replicas. Because each replica executes
 // serially, Δserved/Δseconds between two calls estimates the requests per
-// busy-second one replica sustains at the current ladder rung — the
-// capacity signal the autoscaler feeds its policy.
+// busy-second one replica sustains at the current ladder rungs — the
+// capacity signal the autoscalers feed their policies.
 func (g *Gateway) ExecStats() (served int64, execSeconds float64) {
 	g.execMu.Lock()
 	defer g.execMu.Unlock()

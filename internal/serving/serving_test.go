@@ -26,7 +26,7 @@ func testLadder(t testing.TB, ratios ...float64) []Variant {
 
 func testGateway(t testing.TB, cfg Config) *Gateway {
 	t.Helper()
-	if cfg.Ladder == nil {
+	if cfg.Ladder == nil && cfg.Tenants == nil {
 		cfg.Ladder = testLadder(t)
 	}
 	if cfg.Registry == nil {

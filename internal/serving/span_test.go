@@ -140,7 +140,11 @@ func TestStageStats(t *testing.T) {
 // histograms; SubmitAs keys a separate per-tenant set, and the aggregate
 // StageStats sees both.
 func TestStageStatsByTenant(t *testing.T) {
-	g := testGateway(t, Config{Replicas: 1})
+	ladder := testLadder(t)
+	g := testGateway(t, Config{Replicas: 1, Tenants: []Tenant{
+		{Name: DefaultTenant, Ladder: ladder},
+		{Name: "acme", Ladder: ladder},
+	}})
 	g.Start()
 	for i := 0; i < 4; i++ {
 		if resp := g.Infer(context.Background(), testImage(int64(i)), time.Time{}); resp.Err != nil {

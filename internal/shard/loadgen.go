@@ -117,6 +117,8 @@ type Report struct {
 	Shed      int `json:"shed"`
 	Expired   int `json:"expired"`
 	Faulted   int `json:"faulted"`
+	Stopped   int `json:"stopped"`
+	Rejected  int `json:"rejected"`
 	Other     int `json:"other_errors"`
 
 	// Rerouted counts submissions that spilled past their home shard;
@@ -146,20 +148,24 @@ type Report struct {
 }
 
 // ErrorRate is the fraction of submissions that ended in an error —
-// router sheds, gateway sheds, expiries and exhausted faults. Late
-// responses are service-level failures but not errors.
+// router sheds, gateway sheds, expiries, exhausted faults, shutdowns and
+// anything else. Late responses are service-level failures but not
+// errors; quota rejections are deliberate back-pressure.
 func (r *Report) ErrorRate() float64 {
 	if r.Submitted == 0 {
 		return 0
 	}
-	return float64(r.Shed+r.Expired+r.Faulted+r.Other) / float64(r.Submitted)
+	return float64(r.failed()) / float64(r.Submitted)
 }
+
+// failed counts the submissions ErrorRate treats as errors.
+func (r *Report) failed() int { return r.Shed + r.Expired + r.Faulted + r.Stopped + r.Other }
 
 // String renders the one-line summary the CLI prints.
 func (r *Report) String() string {
 	return fmt.Sprintf(
-		"submitted=%d ok=%d late=%d shed=%d expired=%d faulted=%d rerouted=%d failover=%d err=%.2f%% p50=%.1fms p99=%.1fms acc=%.4f $%.4f ($%.2f/M on-time)",
-		r.Submitted, r.OK, r.Late, r.Shed, r.Expired, r.Faulted, r.Rerouted, r.Failovers,
+		"submitted=%d ok=%d late=%d shed=%d expired=%d faulted=%d stopped=%d rejected=%d other=%d rerouted=%d failover=%d err=%.2f%% p50=%.1fms p99=%.1fms acc=%.4f $%.4f ($%.2f/M on-time)",
+		r.Submitted, r.OK, r.Late, r.Shed, r.Expired, r.Faulted, r.Stopped, r.Rejected, r.Other, r.Rerouted, r.Failovers,
 		100*r.ErrorRate(), r.P50MS, r.P99MS, r.MeanAccuracy, r.CostUSD, r.CostPerMillion)
 }
 
@@ -178,7 +184,7 @@ func (r *Report) FrontierTable() string {
 			reg.DownSeconds, reg.SpotMean, reg.CostPerMillion, reg.MeanAccuracy)
 	}
 	fmt.Fprintf(&b, "%-12s %6s %8d %6d %6d %8s %9s %12.2f %9.4f\n",
-		"global", "", r.OK, r.Late, r.Shed+r.Expired+r.Faulted+r.Other, "", "", r.CostPerMillion, r.MeanAccuracy)
+		"global", "", r.OK, r.Late, r.failed(), "", "", r.CostPerMillion, r.MeanAccuracy)
 	return b.String()
 }
 
@@ -256,7 +262,7 @@ func RunLoad(r *Router, cfg LoadConfig) (*Report, error) {
 		ch, s, err := r.Submit(ctx, Key(cfg.Seed+int64(i)), origin, img, deadline)
 		if err != nil {
 			mu.Lock()
-			countError(rep, err)
+			rep.count(err)
 			if s >= 0 {
 				perShard[s].errs++
 			}
@@ -272,12 +278,12 @@ func RunLoad(r *Router, cfg LoadConfig) (*Report, error) {
 			defer mu.Unlock()
 			if !ok {
 				// Channel closed: gateway stopped with no failover target.
-				rep.Other++
+				rep.Stopped++
 				perShard[s].errs++
 				return
 			}
 			if resp.Err != nil {
-				countError(rep, resp.Err)
+				rep.count(resp.Err)
 				perShard[resp.Shard].errs++
 				return
 			}
@@ -363,18 +369,23 @@ func RunLoad(r *Router, cfg LoadConfig) (*Report, error) {
 	return rep, nil
 }
 
-// countError buckets a submission failure. Router sheds and gateway
-// sheds both land in Shed — to the client they are the same refusal.
-func countError(rep *Report, err error) {
-	switch {
-	case errors.Is(err, ErrNoShard), errors.Is(err, serving.ErrOverloaded):
-		rep.Shed++
-	case errors.Is(err, serving.ErrExpired):
-		rep.Expired++
-	case errors.Is(err, serving.ErrFaulted):
-		rep.Faulted++
+// count buckets a submission or response failure. Router sheds
+// (ErrNoShard) and gateway sheds both land in Shed — to the client they
+// are the same refusal.
+func (r *Report) count(err error) {
+	switch serving.Classify(err) {
+	case serving.OutcomeShed:
+		r.Shed++
+	case serving.OutcomeExpired:
+		r.Expired++
+	case serving.OutcomeFaulted:
+		r.Faulted++
+	case serving.OutcomeStopped:
+		r.Stopped++
+	case serving.OutcomeRejected:
+		r.Rejected++
 	default:
-		rep.Other++
+		r.Other++
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 )
 
 // ErrNoShard means every shard was either drained by health or over its
-// bounded-load cap — the router's load-shedding signal, analogous to
-// serving.ErrOverloaded one level down.
-var ErrNoShard = errors.New("shard: no healthy shard available")
+// bounded-load cap — the router's load-shedding signal. It wraps
+// serving.ErrOverloaded, the same refusal one level down, so
+// serving.Classify counts it as shed.
+var ErrNoShard = fmt.Errorf("shard: no healthy shard available: %w", serving.ErrOverloaded)
 
 // Shard is one routing target: a gateway placed in a region. The caller
 // owns the gateway's lifecycle (Start/Stop) and is expected to wire its
@@ -216,14 +217,14 @@ func (r *Router) Route(key uint64) (int, bool, error) {
 // the window between a fault landing and the health loop draining the
 // weight, new requests do not queue behind open breakers until their
 // deadlines rot.
-func (r *Router) place(ctx context.Context, key uint64, avoid int, img *tensor.Tensor, deadline time.Time) (<-chan serving.Response, int, bool, error) {
+func (r *Router) place(ctx context.Context, tenant string, key uint64, avoid int, img *tensor.Tensor, deadline time.Time) (<-chan serving.Response, int, bool, error) {
 	var ch <-chan serving.Response
 	s, spilled, err := r.choose(key, avoid, func(s int) bool {
 		st := r.shards[s]
 		if !healthyNow(st.gw.Stats()) {
 			return false
 		}
-		c, err := st.gw.Submit(ctx, img, deadline)
+		c, err := st.gw.SubmitAs(ctx, tenant, img, deadline)
 		if err != nil {
 			return false
 		}
@@ -264,8 +265,15 @@ func failoverable(err error) bool {
 // first placed on (failovers are visible in the shard.failovers
 // counter).
 func (r *Router) Submit(ctx context.Context, key uint64, origin string, img *tensor.Tensor, deadline time.Time) (<-chan Routed, int, error) {
+	return r.SubmitAs(ctx, serving.DefaultTenant, key, origin, img, deadline)
+}
+
+// SubmitAs is Submit on behalf of one of the tenants the shards' gateways
+// host: every shard the request is placed or failed over on serves it as
+// that tenant.
+func (r *Router) SubmitAs(ctx context.Context, tenant string, key uint64, origin string, img *tensor.Tensor, deadline time.Time) (<-chan Routed, int, error) {
 	_, finish := r.cfg.Tracer.StartSpan(ctx, "shard.route")
-	ch, s, spilled, err := r.place(ctx, key, -1, img, deadline)
+	ch, s, spilled, err := r.place(ctx, tenant, key, -1, img, deadline)
 	finish()
 	if err != nil {
 		r.shed.Inc()
@@ -291,7 +299,7 @@ func (r *Router) Submit(ctx context.Context, key uint64, origin string, img *ten
 			}
 			// The shard failed the request (or its gateway stopped under
 			// us): resubmit on the next shard along the ring.
-			nch, ns, _, err := r.place(ctx, key, cur, img, deadline)
+			nch, ns, _, err := r.place(ctx, tenant, key, cur, img, deadline)
 			if err != nil {
 				if ok {
 					r.deliver(ctx, out, resp, origin, cur)

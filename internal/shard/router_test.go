@@ -37,7 +37,7 @@ func testLadder(t testing.TB) []serving.Variant {
 // with cleanup registered.
 func testFleet(t testing.TB, shards int, regions []string, sched *fault.Schedule, base serving.Config, rcfg Config) *Router {
 	t.Helper()
-	if base.Ladder == nil {
+	if base.Ladder == nil && base.Tenants == nil {
 		base.Ladder = testLadder(t)
 	}
 	if base.Registry == nil {
@@ -324,6 +324,9 @@ func TestRunLoadSmoke(t *testing.T) {
 	if got := rep.OK + rep.Late + rep.Shed + rep.Expired + rep.Faulted + rep.Other; got != 100 {
 		t.Fatalf("outcomes sum to %d, want 100: %s", got, rep)
 	}
+	if got := outcomeSum(rep); got != rep.Submitted {
+		t.Fatalf("outcome buckets sum to %d, want %d: %s", got, rep.Submitted, rep)
+	}
 	if rep.ErrorRate() > 0.05 {
 		t.Fatalf("fault-free error rate %.2f%%", 100*rep.ErrorRate())
 	}
@@ -348,6 +351,72 @@ func TestRunLoadSmoke(t *testing.T) {
 	}
 	if rep.FrontierTable() == "" {
 		t.Fatal("empty frontier table")
+	}
+}
+
+// outcomeSum adds up every outcome bucket of a sharded replay.
+func outcomeSum(rep *Report) int {
+	return rep.OK + rep.Late + rep.Shed + rep.Expired + rep.Faulted + rep.Stopped + rep.Rejected + rep.Other
+}
+
+// TestRunLoadAccountsEveryRequestUnderChaos: with one region dark and a
+// request error rate on the other, every submission still lands in
+// exactly one outcome bucket.
+func TestRunLoadAccountsEveryRequestUnderChaos(t *testing.T) {
+	sched, err := fault.ParseSchedule("region@us-east:0+600,err:0.2,seed=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testFleet(t, 2, []string{"us-west", "us-east"}, sched,
+		serving.Config{Replicas: 2, QueueCap: 16, MaxRetries: 1, RetryBackoff: time.Millisecond, BreakerThreshold: 1},
+		Config{})
+	rep, err := RunLoad(r, LoadConfig{Total: 120, Duration: 300 * time.Millisecond, Seed: 7, Deadline: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Submitted != 120 || outcomeSum(rep) != rep.Submitted {
+		t.Fatalf("outcome buckets sum to %d of %d submitted: %s", outcomeSum(rep), rep.Submitted, rep)
+	}
+	if rep.Failovers == 0 && rep.Faulted == 0 && rep.Shed == 0 {
+		t.Fatalf("chaos left no trace in the report: %s", rep)
+	}
+}
+
+// TestRouterServesTenantsAcrossShards: shards whose gateways host several
+// tenants route SubmitAs like any other request — each shard serves the
+// request on the named tenant's own ladder.
+func TestRouterServesTenantsAcrossShards(t *testing.T) {
+	ladder := testLadder(t)
+	pruned, err := serving.DemoLadder([]float64{0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testFleet(t, 2, []string{"us-west", "us-east"}, nil, serving.Config{
+		Replicas: 1,
+		Tenants: []serving.Tenant{
+			{Name: "photos", Ladder: ladder, Weight: 2},
+			{Name: "search", Ladder: pruned},
+		},
+	}, Config{})
+	for i := 0; i < 12; i++ {
+		name := []string{"photos", "search"}[i%2]
+		img := serving.SyntheticImage(serving.TinyShape.C, serving.TinyShape.H, serving.TinyShape.W, int64(i))
+		ch, _, err := r.SubmitAs(context.Background(), name, Key(int64(i)), "us-west", img, time.Time{})
+		if err != nil {
+			t.Fatalf("submit as %s: %v", name, err)
+		}
+		resp := <-ch
+		if resp.Err != nil {
+			t.Fatalf("%s request %d: %v", name, i, resp.Err)
+		}
+		if want := map[string]string{"photos": ladder[0].Degree.Label(), "search": pruned[0].Degree.Label()}[name]; resp.Degree != want {
+			t.Fatalf("%s served at %q, want its own rung %q", name, resp.Degree, want)
+		}
+	}
+	// The default tenant is not hosted: plain Submit finds no shard.
+	img := serving.SyntheticImage(serving.TinyShape.C, serving.TinyShape.H, serving.TinyShape.W, 99)
+	if _, _, err := r.Submit(context.Background(), Key(99), "us-west", img, time.Time{}); !errors.Is(err, ErrNoShard) {
+		t.Fatalf("Submit without a hosted default tenant: %v, want ErrNoShard", err)
 	}
 }
 

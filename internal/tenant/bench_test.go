@@ -16,24 +16,15 @@ import (
 // of the benchdiff regression gate — a slowdown here means the fairness
 // machinery got more expensive per request.
 func BenchmarkTenantFairness(b *testing.B) {
-	cfg := Config{
-		Specs: []Spec{
-			{Name: "a", Ladder: []float64{0}, QueueCap: 512},
-			{Name: "b", Ladder: []float64{0}, QueueCap: 512, Weight: 2},
-		},
+	m, _ := testGateway(b, []Spec{
+		{Name: "a", Ladder: []float64{0}, QueueCap: 512},
+		{Name: "b", Ladder: []float64{0}, QueueCap: 512, Weight: 2},
+	}, serving.Config{
 		Replicas:     2,
 		MaxBatch:     8,
 		BatchTimeout: 200 * time.Microsecond,
-		Registry:     telemetry.NewRegistry(),
 		Tracer:       telemetry.NewTracer(64),
-	}
-	cfg.BuildLadder = func(ratios []float64) ([]serving.Variant, error) {
-		return serving.DemoLadder(ratios)
-	}
-	m, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	})
 	m.Start()
 	defer m.Stop()
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ccperf/internal/autoscale"
+	"ccperf/internal/serving"
 	"ccperf/internal/telemetry"
 )
 
@@ -33,8 +34,7 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 		// nothing — degrading B is never worth it.
 		{Name: "b", Ladder: []float64{0, 0.9}, SLOMS: 500, QPS: 20, OfferedQPS: 8},
 	}
-	m := testMux(t, Config{
-		Specs:    specs,
+	m, reg := testGateway(t, specs, serving.Config{
 		Replicas: 1,
 		MaxBatch: 2,
 	})
@@ -42,7 +42,7 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 		"a": ProfilesFromLadder(m.Ladder("a"), []float64{1, 1.6, 2.5}),
 		"b": ProfilesFromLadder(m.Ladder("b"), []float64{1, 1}),
 	}
-	sc, err := NewScaler(m, ScalerConfig{
+	sc, err := NewScaler(m, reg, ScalerConfig{
 		Policy: autoscale.JointPolicy{
 			// MaxReplicas = 1 closes the scale-out escape hatch: capacity
 			// pressure must be paid in accuracy, exposing degrade order.
@@ -59,7 +59,7 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 
 	m.Start()
 	sc.Start()
-	rep, runErr := RunLoad(m, LoadConfig{
+	rep, runErr := RunLoad(m, reg, LoadConfig{
 		Duration: 1200 * time.Millisecond,
 		Seed:     42,
 		Cooldown: 100 * time.Millisecond,
@@ -83,6 +83,11 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 	}
 	if er := b.ErrorRate(); er >= 0.01 {
 		t.Fatalf("tenant b error rate %.2f%%, want < 1%%", er*100)
+	}
+	for _, tr := range []*TenantReport{a, b} {
+		if got := tr.OK + tr.Shed + tr.Expired + tr.Faulted + tr.Stopped + tr.Rejected + tr.Other; got != tr.Submitted {
+			t.Fatalf("tenant %s outcomes sum to %d, submitted %d: %+v", tr.Name, got, tr.Submitted, tr)
+		}
 	}
 	if b.Rejected != 0 {
 		t.Fatalf("tenant b inside quota was rejected %d times", b.Rejected)

@@ -2,7 +2,6 @@ package tenant
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -19,7 +18,7 @@ type InferRequest struct {
 	Image  []float32 `json:"image,omitempty"`
 	Seed   int64     `json:"seed,omitempty"`
 	// DeadlineMS overrides the tenant's deadline, in milliseconds from
-	// arrival (0 = use the tenant spec's deadline, if any).
+	// arrival (0 = use the tenant's own deadline, if any).
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`
 }
 
@@ -41,21 +40,22 @@ type InferResponse struct {
 // the fleet view and, when a joint scaler is attached, its placement
 // status (per-tenant attributed cost and $/million-on-time).
 type StatusReply struct {
-	Replicas       int           `json:"replicas"`
-	ReplicaSeconds float64       `json:"replica_seconds"`
-	Tenants        []TenantStats `json:"tenants"`
-	Joint          *JointStatus  `json:"joint,omitempty"`
+	Replicas       int                   `json:"replicas"`
+	ReplicaSeconds float64               `json:"replica_seconds"`
+	Tenants        []serving.TenantStats `json:"tenants"`
+	Joint          *JointStatus          `json:"joint,omitempty"`
 }
 
-// Handler exposes the multi-tenant mux over HTTP:
+// Handler exposes a multi-tenant gateway over HTTP:
 //
 //	POST /infer           run one inference as a tenant (InferRequest → InferResponse)
 //	GET  /gateway/status  per-tenant StatusReply rows as JSON
 //
 // A quota rejection maps to 429 Too Many Requests (same as shedding — both
 // are back-pressure a load balancer should honor), an unknown tenant to
-// 404, an expired deadline to 504, shutdown to 503. The scaler may be nil.
-func Handler(m *Mux, sc *Scaler) http.Handler {
+// 404, an expired deadline to 504, shutdown to 503 (serving.StatusFor).
+// The scaler may be nil.
+func Handler(g *serving.Gateway, sc *Scaler) http.Handler {
 	hmux := http.NewServeMux()
 	hmux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -71,12 +71,12 @@ func Handler(m *Mux, sc *Scaler) http.Handler {
 			http.Error(w, "tenant field required", http.StatusBadRequest)
 			return
 		}
-		spec, ok := m.Registry().Get(req.Tenant)
-		if !ok {
-			http.Error(w, ErrUnknownTenant.Error()+": "+req.Tenant, http.StatusNotFound)
+		ladder := g.Ladder(req.Tenant)
+		if ladder == nil {
+			http.Error(w, serving.ErrUnknownTenant.Error()+": "+req.Tenant, http.StatusNotFound)
 			return
 		}
-		shape := m.Ladder(spec.Name)[0].Net.Input
+		shape := ladder[0].Net.Input
 		var img *tensor.Tensor
 		switch {
 		case len(req.Image) > 0:
@@ -89,20 +89,17 @@ func Handler(m *Mux, sc *Scaler) http.Handler {
 			img = serving.SyntheticImage(shape.C, shape.H, shape.W, req.Seed)
 		}
 		var deadline time.Time
-		switch {
-		case req.DeadlineMS > 0:
+		if req.DeadlineMS > 0 {
 			deadline = time.Now().Add(time.Duration(req.DeadlineMS * float64(time.Millisecond)))
-		case spec.Deadline() > 0:
-			deadline = time.Now().Add(spec.Deadline())
 		}
-		resp := m.InferAs(r.Context(), spec.Name, img, deadline)
+		resp := g.InferAs(r.Context(), req.Tenant, img, deadline)
 		if resp.Err != nil {
-			http.Error(w, resp.Err.Error(), statusFor(resp.Err))
+			http.Error(w, resp.Err.Error(), serving.StatusFor(resp.Err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(InferResponse{
-			Tenant: spec.Name,
+			Tenant: req.Tenant,
 			ID:     resp.ID, Class: resp.Class,
 			Variant: resp.Variant, Degree: resp.Degree, Accuracy: resp.Accuracy,
 			QueueMS:  float64(resp.Queue) / float64(time.Millisecond),
@@ -113,9 +110,9 @@ func Handler(m *Mux, sc *Scaler) http.Handler {
 	})
 	hmux.HandleFunc("/gateway/status", func(w http.ResponseWriter, r *http.Request) {
 		reply := StatusReply{
-			Replicas:       m.ReplicaCount(),
-			ReplicaSeconds: m.ReplicaSeconds(),
-			Tenants:        m.Stats(),
+			Replicas:       g.ReplicaCount(),
+			ReplicaSeconds: g.ReplicaSeconds(),
+			Tenants:        g.AllTenantStats(),
 		}
 		if sc != nil {
 			js := sc.Status()
@@ -127,19 +124,4 @@ func Handler(m *Mux, sc *Scaler) http.Handler {
 		enc.Encode(reply)
 	})
 	return hmux
-}
-
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrQuotaExceeded), errors.Is(err, serving.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrUnknownTenant):
-		return http.StatusNotFound
-	case errors.Is(err, serving.ErrExpired):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, serving.ErrStopped):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ccperf/internal/autoscale"
+	"ccperf/internal/serving"
 	"ccperf/internal/telemetry"
 )
 
@@ -29,10 +30,10 @@ func postInfer(t *testing.T, srv *httptest.Server, body any) *http.Response {
 // test: a capped tenant's overflow maps to 429 Too Many Requests, and
 // the per-tenant /gateway/status row carries the rejection count.
 func TestHandlerQuota429Accounting(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{
+	m, _ := testGateway(t, []Spec{
 		{Name: "capped", QPS: 1, Burst: 1},
 		{Name: "open"},
-	}})
+	}, serving.Config{})
 	m.Start()
 	defer m.Stop()
 	srv := httptest.NewServer(Handler(m, nil))
@@ -73,7 +74,7 @@ func TestHandlerQuota429Accounting(t *testing.T) {
 	if len(status.Tenants) != 2 {
 		t.Fatalf("status has %d tenant rows, want 2", len(status.Tenants))
 	}
-	byName := map[string]TenantStats{}
+	byName := map[string]serving.TenantStats{}
 	for _, row := range status.Tenants {
 		byName[row.Name] = row
 	}
@@ -89,7 +90,7 @@ func TestHandlerQuota429Accounting(t *testing.T) {
 }
 
 func TestHandlerRejectsBadRequests(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "a"}}})
+	m, _ := testGateway(t, []Spec{{Name: "a"}}, serving.Config{})
 	m.Start()
 	defer m.Stop()
 	srv := httptest.NewServer(Handler(m, nil))
@@ -124,8 +125,8 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 }
 
 func TestHandlerStatusIncludesJoint(t *testing.T) {
-	m := testMux(t, Config{Specs: []Spec{{Name: "a", Ladder: []float64{0, 0.9}}}})
-	sc, err := NewScaler(m, ScalerConfig{
+	m, reg := testGateway(t, []Spec{{Name: "a", Ladder: []float64{0, 0.9}}}, serving.Config{})
+	sc, err := NewScaler(m, reg, ScalerConfig{
 		Policy:   autoscale.JointPolicy{Limits: autoscale.Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1}},
 		Profiles: map[string][]autoscale.Profile{"a": ProfilesFromLadder(m.Ladder("a"), nil)},
 		Interval: time.Hour, // ticked manually, never by the clock

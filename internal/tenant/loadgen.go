@@ -48,6 +48,8 @@ type TenantReport struct {
 	Shed     int   `json:"shed"`
 	Expired  int   `json:"expired"`
 	Faulted  int   `json:"faulted"`
+	Stopped  int   `json:"stopped"`
+	Other    int   `json:"other"`
 	Retries  int64 `json:"retries"`
 
 	P50MS float64 `json:"p50_ms"`
@@ -69,14 +71,35 @@ type TenantReport struct {
 	Stages serving.Stages `json:"stages"`
 }
 
-// ErrorRate is the tenant's shed+expired+faulted fraction of submissions.
-// Quota rejections are excluded: a tenant over its own quota being told
-// 429 is the isolation mechanism working, not a service failure.
+// ErrorRate is the tenant's failed fraction of submissions: shed,
+// expired, faulted, stopped or otherwise. Quota rejections are excluded:
+// a tenant over its own quota being told 429 is the isolation mechanism
+// working, not a service failure.
 func (t *TenantReport) ErrorRate() float64 {
 	if t.Submitted == 0 {
 		return 0
 	}
-	return float64(t.Shed+t.Expired+t.Faulted) / float64(t.Submitted)
+	return float64(t.Shed+t.Expired+t.Faulted+t.Stopped+t.Other) / float64(t.Submitted)
+}
+
+// count adds one submission or response result to its outcome bucket.
+func (t *TenantReport) count(err error) {
+	switch serving.Classify(err) {
+	case serving.OutcomeOK:
+		t.OK++
+	case serving.OutcomeShed:
+		t.Shed++
+	case serving.OutcomeExpired:
+		t.Expired++
+	case serving.OutcomeFaulted:
+		t.Faulted++
+	case serving.OutcomeStopped:
+		t.Stopped++
+	case serving.OutcomeRejected:
+		t.Rejected++
+	default:
+		t.Other++
+	}
 }
 
 // Report summarizes one multi-tenant load test: per-tenant rows plus the
@@ -115,18 +138,18 @@ func (r *Report) ErrorRate() float64 {
 }
 
 // RunLoad replays every tenant's Poisson arrival process open-loop
-// against the mux: arrivals fire at their scheduled offsets whether or
-// not earlier requests completed. It returns after every response has
-// arrived and the cooldown has elapsed. The caller owns Mux Start/Stop
-// (and Scaler Start/Stop).
-func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
+// against the gateway hosting reg's tenants: arrivals fire at their
+// scheduled offsets whether or not earlier requests completed. It returns
+// after every response has arrived and the cooldown has elapsed. The
+// caller owns Gateway Start/Stop (and Scaler Start/Stop).
+func RunLoad(g *serving.Gateway, reg *Registry, cfg LoadConfig) (*Report, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("tenant: load config needs a positive duration")
 	}
-	specs := m.Registry().Specs()
+	specs := reg.Specs()
 	rep := &Report{Tenants: make([]TenantReport, len(specs))}
 
-	ctx, finishReplay := m.cfg.Tracer.StartSpan(context.Background(), "tenant.replay")
+	ctx, finishReplay := g.Config().Tracer.StartSpan(context.Background(), "tenant.replay")
 	start := time.Now()
 	var wg sync.WaitGroup
 
@@ -143,13 +166,13 @@ func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
 		tr.OfferedQPS = rate
 		tr.QPSQuota = spec.QPS
 		tr.SLOMS = spec.SLOMS
-		tr.PerVariant = make([]int, len(m.Ladder(spec.Name)))
+		tr.PerVariant = make([]int, len(g.Ladder(spec.Name)))
 
 		wg.Add(1)
 		go func(spec Spec, tr *TenantReport, rate float64, seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			shape := m.Ladder(spec.Name)[0].Net.Input
+			shape := g.Ladder(spec.Name)[0].Net.Input
 			var mu sync.Mutex
 			latencies := []float64{}
 			var inner sync.WaitGroup
@@ -167,10 +190,10 @@ func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
 				mu.Lock()
 				tr.Submitted++
 				mu.Unlock()
-				ch, err := m.SubmitAs(ctx, spec.Name, img, time.Time{})
+				ch, err := g.SubmitAs(ctx, spec.Name, img, time.Time{})
 				if err != nil {
 					mu.Lock()
-					countTenantError(tr, err)
+					tr.count(err)
 					mu.Unlock()
 					continue
 				}
@@ -180,11 +203,10 @@ func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
 					resp := <-ch
 					mu.Lock()
 					defer mu.Unlock()
+					tr.count(resp.Err)
 					if resp.Err != nil {
-						countTenantError(tr, resp.Err)
 						return
 					}
-					tr.OK++
 					if resp.Variant < len(tr.PerVariant) {
 						tr.PerVariant[resp.Variant]++
 					}
@@ -209,11 +231,11 @@ func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
 	}
 	rep.WallSeconds = time.Since(start).Seconds()
 
-	stages := m.StageStatsByTenant()
+	stages := g.StageStatsByTenant()
 	totalOK := 0
 	for i := range rep.Tenants {
 		tr := &rep.Tenants[i]
-		st := m.TenantStats(tr.Name)
+		st := g.TenantStats(tr.Name)
 		tr.Retries = st.Retries
 		tr.OnTime = st.OnTime
 		tr.Degrades = st.Degrades
@@ -234,41 +256,14 @@ func RunLoad(m *Mux, cfg LoadConfig) (*Report, error) {
 	return rep, nil
 }
 
-func countTenantError(tr *TenantReport, err error) {
-	switch {
-	case isErr(err, ErrQuotaExceeded):
-		tr.Rejected++
-	case isErr(err, serving.ErrOverloaded):
-		tr.Shed++
-	case isErr(err, serving.ErrExpired):
-		tr.Expired++
-	case isErr(err, serving.ErrFaulted):
-		tr.Faulted++
-	}
-}
-
-func isErr(err, target error) bool {
-	for err != nil {
-		if err == target {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // String renders the report for the CLI: one block per tenant plus the
 // joint placement summary.
 func (r *Report) String() string {
 	var b strings.Builder
 	for i := range r.Tenants {
 		t := &r.Tenants[i]
-		fmt.Fprintf(&b, "tenant %-10s: %d submitted, %d ok, %d rejected (429), %d shed, %d expired, %d faulted\n",
-			t.Name, t.Submitted, t.OK, t.Rejected, t.Shed, t.Expired, t.Faulted)
+		fmt.Fprintf(&b, "tenant %-10s: %d submitted, %d ok, %d rejected (429), %d shed, %d expired, %d faulted, %d stopped, %d other\n",
+			t.Name, t.Submitted, t.OK, t.Rejected, t.Shed, t.Expired, t.Faulted, t.Stopped, t.Other)
 		fmt.Fprintf(&b, "  latency  : p50 %.1f ms, p99 %.1f ms (SLO %.0f ms), %.1f%% on-time, %.2f%% errors\n",
 			t.P50MS, t.P99MS, t.SLOMS, t.OnTimeFrac*100, t.ErrorRate()*100)
 		fmt.Fprintf(&b, "  accuracy : %.1f%% mean proxy, ladder %v (%d degrades, %d restores)\n",

@@ -69,14 +69,15 @@ type tenantScalerState struct {
 	p99Gauge           *telemetry.Gauge
 }
 
-// Scaler drives a Mux along both joint axes: the shared replica count and
-// each tenant's ladder rung. Every tick it assembles one per-tenant
-// signal set (arrival rates, p99 vs SLO, queue pressure, attributed $/hr),
-// asks the pure autoscale.JointPolicy for a move, and actuates it through
-// Mux.ScaleTo / Mux.SetVariant — the multi-tenant counterpart of
-// autoscale.Autoscaler.
+// Scaler drives a multi-tenant gateway along both joint axes: the shared
+// replica count and each tenant's ladder rung. Every tick it assembles one
+// per-tenant signal set (arrival rates, p99 vs SLO, queue pressure,
+// attributed $/hr), asks the pure autoscale.JointPolicy for a move, and
+// actuates it through Gateway.ScaleTo / Gateway.SetTenantVariant — the
+// multi-tenant counterpart of autoscale.Autoscaler.
 type Scaler struct {
-	mux      *Mux
+	gw       *serving.Gateway
+	reg      *Registry
 	pol      autoscale.JointPolicy
 	interval time.Duration
 	tracer   *telemetry.Tracer
@@ -106,11 +107,12 @@ type Scaler struct {
 	costG  *telemetry.Gauge
 }
 
-// NewScaler validates the config and binds a scaler to m (not yet
-// ticking). Every tenant needs a profile set matching its ladder length.
-func NewScaler(m *Mux, cfg ScalerConfig) (*Scaler, error) {
-	if m == nil {
-		return nil, fmt.Errorf("tenant: nil mux")
+// NewScaler validates the config and binds a scaler to the gateway
+// hosting reg's tenants (not yet ticking). Every tenant needs a profile
+// set matching its ladder length.
+func NewScaler(g *serving.Gateway, reg *Registry, cfg ScalerConfig) (*Scaler, error) {
+	if g == nil || reg == nil {
+		return nil, fmt.Errorf("tenant: scaler needs a gateway and a registry")
 	}
 	cfg.Policy = cfg.Policy.WithDefaults()
 	if err := cfg.Policy.Validate(); err != nil {
@@ -128,24 +130,28 @@ func NewScaler(m *Mux, cfg ScalerConfig) (*Scaler, error) {
 	if cfg.Tracer == nil {
 		cfg.Tracer = telemetry.DefaultTracer
 	}
-	reg := cfg.Registry
+	tr := cfg.Registry
 	s := &Scaler{
-		mux:      m,
+		gw:       g,
+		reg:      reg,
 		pol:      cfg.Policy,
 		interval: cfg.Interval,
 		tracer:   cfg.Tracer,
 		stopCh:   make(chan struct{}),
 		done:     make(chan struct{}),
-		ticksC:   reg.Counter("autoscale.tenant.ticks_total"),
-		repsG:    reg.Gauge("autoscale.tenant.replicas"),
-		costG:    reg.Gauge("autoscale.tenant.cost_per_hour"),
+		ticksC:   tr.Counter("autoscale.tenant.ticks_total"),
+		repsG:    tr.Gauge("autoscale.tenant.replicas"),
+		costG:    tr.Gauge("autoscale.tenant.cost_per_hour"),
 	}
 	for v := autoscale.Hold; v <= autoscale.Restore; v++ {
-		s.verbs[v] = reg.Counter("autoscale.tenant." + v.String() + "_total")
+		s.verbs[v] = tr.Counter("autoscale.tenant." + v.String() + "_total")
 	}
-	for _, name := range m.Registry().Names() {
+	for _, name := range reg.Names() {
 		prof := cfg.Profiles[name]
-		ladder := m.Ladder(name)
+		ladder := g.Ladder(name)
+		if ladder == nil {
+			return nil, fmt.Errorf("tenant: gateway does not host tenant %s", name)
+		}
 		if len(prof) == 0 {
 			return nil, fmt.Errorf("tenant: scaler needs profiles for tenant %s", name)
 		}
@@ -156,16 +162,16 @@ func NewScaler(m *Mux, cfg ScalerConfig) (*Scaler, error) {
 		s.tstates = append(s.tstates, &tenantScalerState{
 			name:        name,
 			profiles:    prof,
-			degrades:    reg.Counter("autoscale.tenant.degrade_total." + name),
-			restores:    reg.Counter("autoscale.tenant.restore_total." + name),
-			costPerHour: reg.Gauge("autoscale.tenant.cost_per_hour." + name),
-			arrivalRate: reg.Gauge("autoscale.tenant.arrival_rate." + name),
-			p99Gauge:    reg.Gauge("autoscale.tenant.p99_seconds." + name),
+			degrades:    tr.Counter("autoscale.tenant.degrade_total." + name),
+			restores:    tr.Counter("autoscale.tenant.restore_total." + name),
+			costPerHour: tr.Gauge("autoscale.tenant.cost_per_hour." + name),
+			arrivalRate: tr.Gauge("autoscale.tenant.arrival_rate." + name),
+			p99Gauge:    tr.Gauge("autoscale.tenant.p99_seconds." + name),
 		})
 	}
 	// Start the cooldown satisfied so the first genuine surge can act.
 	s.sinceScale = s.pol.CooldownTicks
-	s.repsG.Set(float64(m.ReplicaCount()))
+	s.repsG.Set(float64(g.ReplicaCount()))
 	return s, nil
 }
 
@@ -175,7 +181,7 @@ func (s *Scaler) Policy() autoscale.JointPolicy { return s.pol }
 // Interval returns the resolved tick period.
 func (s *Scaler) Interval() time.Duration { return s.interval }
 
-// Start launches the tick loop. Call after Mux.Start.
+// Start launches the tick loop. Call after Gateway.Start.
 func (s *Scaler) Start() {
 	s.startOnce.Do(func() {
 		go func() {
@@ -194,7 +200,7 @@ func (s *Scaler) Start() {
 	})
 }
 
-// Stop halts the tick loop (idempotent; does not stop the mux).
+// Stop halts the tick loop (idempotent; does not stop the gateway).
 func (s *Scaler) Stop() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.startOnce.Do(func() { close(s.done) })
@@ -225,26 +231,27 @@ func (s *Scaler) Tick() JointDecision {
 // estimator normalized to rung 0 by the served-weighted mean speed.
 func (s *Scaler) observeLocked() autoscale.JointSignal {
 	dtSec := s.interval.Seconds()
-	replicas := s.mux.ReplicaCount()
+	replicas := s.gw.ReplicaCount()
 	fleetRate := float64(replicas) * s.pol.Limits.PricePerReplicaHour
 
 	var totalServed int64
-	obs := make([]Observation, len(s.tstates))
+	sigs := make([]serving.Signal, len(s.tstates))
+	rows := make([]serving.TenantStats, len(s.tstates))
 	for i, ts := range s.tstates {
-		o, err := s.mux.Observe(ts.name)
+		sig, err := s.gw.TenantSignal(ts.name)
 		if err != nil {
 			continue
 		}
-		obs[i] = o
-		ts.cumServed = o.Served
-		totalServed += o.Served
+		sigs[i], rows[i] = sig, s.gw.TenantStats(ts.name)
+		ts.cumServed = rows[i].Served
+		totalServed += rows[i].Served
 	}
 
 	var meanSpeedNum, meanSpeedDen float64
 	tenants := make([]autoscale.TenantSignal, 0, len(s.tstates))
 	for i, ts := range s.tstates {
-		o := obs[i]
-		spec, _ := s.mux.Registry().Get(ts.name)
+		o, sig := rows[i], sigs[i]
+		spec, _ := s.reg.Get(ts.name)
 		// Offered = everything that knocked (admitted + shed + rejected);
 		// errors exclude quota rejections — those are intentional
 		// back-pressure, not service failures.
@@ -266,7 +273,7 @@ func (s *Scaler) observeLocked() autoscale.JointSignal {
 		cost := fleetRate * share
 		ts.costPerHour.Set(cost)
 		ts.arrivalRate.Set(arrival)
-		ts.p99Gauge.Set(o.P99)
+		ts.p99Gauge.Set(sig.P99)
 
 		v := o.Variant
 		if v >= 0 && v < len(ts.profiles) {
@@ -281,9 +288,9 @@ func (s *Scaler) observeLocked() autoscale.JointSignal {
 		tenants = append(tenants, autoscale.TenantSignal{
 			Name:           ts.name,
 			ArrivalRate:    arrival,
-			P99:            o.P99,
-			Samples:        o.Samples,
-			QueueFrac:      o.QueueFrac,
+			P99:            sig.P99,
+			Samples:        sig.Samples,
+			QueueFrac:      sig.QueueFrac,
 			ErrorRate:      errRate,
 			Variant:        v,
 			SLOSeconds:     spec.SLO().Seconds(),
@@ -295,7 +302,7 @@ func (s *Scaler) observeLocked() autoscale.JointSignal {
 
 	// Capacity estimate: requests per busy-second of one batcher over the
 	// tick, normalized to rung 0 by the mix's served-weighted mean speed.
-	served, execSec := s.mux.ExecStats()
+	served, execSec := s.gw.ExecStats()
 	if dServed, dExec := served-s.lastServed, execSec-s.lastExecSec; dExec > 0 && dServed > 0 {
 		meanSpeed := 1.0
 		if meanSpeedDen > 0 && meanSpeedNum > 0 {
@@ -315,8 +322,8 @@ func (s *Scaler) observeLocked() autoscale.JointSignal {
 }
 
 // applyLocked actuates one joint decision. The per-tenant decision span
-// opens before actuation so the mux-side tenant.set_variant span parents
-// under it.
+// opens before actuation so the gateway's serving.set_variant span
+// parents under it.
 func (s *Scaler) applyLocked(act autoscale.JointAction, sig autoscale.JointSignal) {
 	s.healthy = act.Healthy
 	s.counts[act.Verb]++
@@ -329,10 +336,10 @@ func (s *Scaler) applyLocked(act autoscale.JointAction, sig autoscale.JointSigna
 	switch act.Verb {
 	case autoscale.ScaleOut, autoscale.ScaleIn:
 		s.sinceScale = 0
-		s.mux.ScaleTo(act.Replicas)
+		s.gw.ScaleTo(act.Replicas)
 	case autoscale.Degrade, autoscale.Restore:
 		s.sinceScale++
-		s.mux.SetVariant(ctx, act.Tenant, act.Variant)
+		s.gw.SetTenantVariant(ctx, act.Tenant, act.Variant)
 		for _, ts := range s.tstates {
 			if ts.name != act.Tenant {
 				continue
@@ -351,8 +358,8 @@ func (s *Scaler) applyLocked(act autoscale.JointAction, sig autoscale.JointSigna
 	}
 	s.verbs[act.Verb].Inc()
 	s.ticksC.Inc()
-	s.repsG.Set(float64(s.mux.ReplicaCount()))
-	s.costG.Set(float64(s.mux.ReplicaCount()) * s.pol.Limits.PricePerReplicaHour)
+	s.repsG.Set(float64(s.gw.ReplicaCount()))
+	s.costG.Set(float64(s.gw.ReplicaCount()) * s.pol.Limits.PricePerReplicaHour)
 	if finish != nil {
 		finish(
 			telemetry.L("tenant", act.Tenant),
@@ -393,7 +400,8 @@ type JointStatus struct {
 	Degrades  int64 `json:"degrades"`
 	Restores  int64 `json:"restores"`
 	Holds     int64 `json:"holds"`
-	// Cost prices the mux's replica-seconds integral at the policy price.
+	// Cost prices the gateway's replica-seconds integral at the policy
+	// price.
 	Cost           float64 `json:"cost_usd"`
 	CostPerHour    float64 `json:"cost_per_hour"`
 	BudgetPerHour  float64 `json:"budget_per_hour"`
@@ -411,14 +419,14 @@ type JointStatus struct {
 func (s *Scaler) Status() JointStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	repSec := s.mux.ReplicaSeconds()
+	repSec := s.gw.ReplicaSeconds()
 	price := s.pol.Limits.PricePerReplicaHour
 	totalCost := repSec / 3600 * price
-	replicas := s.mux.ReplicaCount()
+	replicas := s.gw.ReplicaCount()
 	fleetRate := float64(replicas) * price
 
 	var totalServed int64
-	rows := s.mux.Stats()
+	rows := s.gw.AllTenantStats()
 	for _, r := range rows {
 		totalServed += r.Served
 	}

@@ -1,26 +1,25 @@
-// Package tenant generalizes the serving stack from one model to N: a
-// multi-tenant front-end that hosts several pruning ladders — each with
-// its own calibrated accuracy proxy, latency SLO, admission quota, and
-// budget share — on one shared replica fleet.
+// Package tenant declares the tenants a multi-tenant serving.Gateway
+// hosts — several pruning ladders, each with its own calibrated accuracy
+// proxy, latency SLO, admission quota, and budget share — and drives them
+// on one shared replica fleet.
 //
 // The paper prices a single model's cost-accuracy frontier on one
 // instance at a time; Perseus and "No DNN Left Behind" (PAPERS.md) show
 // the dominant serving-cost win comes from co-locating models on shared
-// capacity. This package supplies the three mechanisms co-location needs
-// to be safe:
+// capacity. Co-location is a scheduling question over shared workers, so
+// the serving gateway owns the mechanisms — per-tenant token-bucket
+// quotas, bounded backlogs, and deficit round-robin batching that
+// coalesces only same-tenant requests — and this package supplies the
+// rest:
 //
-//   - Admission quotas: each tenant gets a token bucket (rate = its QPS
-//     quota) so one tenant's flood is rejected at its own front door
-//     (ErrQuotaExceeded, HTTP 429) instead of consuming shared queue
-//     space.
-//   - Weighted-fair batching: replicas pick batches by deficit
-//     round-robin across the per-tenant backlogs, coalescing only
-//     same-tenant requests (each tenant runs its own nets), so a noisy
-//     neighbor cannot starve a quiet one of replica time.
+//   - Specs and the Registry: the spec-file format, validation and
+//     defaults, turned into serving.Tenant declarations by
+//     Registry.Tenants.
 //   - Joint placement: a Scaler binds the pure autoscale.JointPolicy to
 //     the fleet — which tenant degrades first (largest accuracy-per-
 //     dollar slack), which gets freed capacity, per-tenant $/hr
 //     enforcement.
+//   - The multi-tenant HTTP surface (Handler) and load driver (RunLoad).
 //
 // The tenant spec format, fairness model and degrade-order semantics are
 // documented in docs/MULTITENANT.md.
@@ -33,6 +32,8 @@ import (
 	"os"
 	"sort"
 	"time"
+
+	"ccperf/internal/serving"
 )
 
 // Spec declares one tenant to the fleet. JSON tags define the spec-file
@@ -52,7 +53,8 @@ type Spec struct {
 	// admission when the caller supplies none (0 = no deadline).
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`
 	// QPS is the admission quota in requests/second (0 = unlimited).
-	// Requests beyond the bucket are rejected with ErrQuotaExceeded.
+	// Requests beyond the bucket are rejected with
+	// serving.ErrQuotaExceeded.
 	QPS float64 `json:"qps,omitempty"`
 	// Burst is the token-bucket depth (default max(1, ceil(QPS))).
 	Burst float64 `json:"burst,omitempty"`
@@ -83,7 +85,7 @@ type Spec struct {
 // withDefaults fills the documented defaults on zero fields.
 func (s Spec) withDefaults() Spec {
 	if len(s.Ladder) == 0 {
-		s.Ladder = nil // BuildLadder substitutes serving.DefaultLadderRatios
+		s.Ladder = nil // the ladder builder substitutes its default rungs
 	}
 	if s.SLOMS <= 0 {
 		s.SLOMS = 50
@@ -190,13 +192,31 @@ func (r *Registry) Get(name string) (Spec, bool) {
 	return r.specs[i], true
 }
 
-// index returns the registry position of name (-1 when absent).
-func (r *Registry) index(name string) int {
-	i, ok := r.byName[name]
-	if !ok {
-		return -1
+// Tenants builds every tenant's ladder from its prune ratios with build
+// (nil = serving.DemoLadder) and returns the serving declarations, in
+// registry order, that a gateway's Config.Tenants takes.
+func (r *Registry) Tenants(build func(ratios []float64) ([]serving.Variant, error)) ([]serving.Tenant, error) {
+	if build == nil {
+		build = serving.DemoLadder
 	}
-	return i
+	out := make([]serving.Tenant, len(r.specs))
+	for i, s := range r.specs {
+		ladder, err := build(s.Ladder)
+		if err != nil {
+			return nil, fmt.Errorf("tenant %s: building ladder: %w", s.Name, err)
+		}
+		out[i] = serving.Tenant{
+			Name:     s.Name,
+			Ladder:   ladder,
+			Weight:   s.Weight,
+			QueueCap: s.QueueCap,
+			Deadline: s.Deadline(),
+			SLO:      s.SLO(),
+			QPS:      s.QPS,
+			Burst:    s.Burst,
+		}
+	}
+	return out, nil
 }
 
 // ParseSpecs decodes a tenant spec file: a JSON array of Spec objects

@@ -74,41 +74,3 @@ func TestRegistryRejectsDuplicatesAndBadSpecs(t *testing.T) {
 		t.Fatal("expected negative-field error")
 	}
 }
-
-func TestBucketAdmission(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := newBucket(10, 2) // 10/s, burst 2
-
-	if !b.allow(now) || !b.allow(now) {
-		t.Fatal("burst of 2 should admit two immediately")
-	}
-	if b.allow(now) {
-		t.Fatal("third immediate request should be rejected")
-	}
-	// 100ms refills exactly one token at 10/s.
-	now = now.Add(100 * time.Millisecond)
-	if !b.allow(now) {
-		t.Fatal("one token should have refilled")
-	}
-	if b.allow(now) {
-		t.Fatal("bucket should be empty again")
-	}
-	// A long idle period caps at the burst, not the elapsed rate.
-	now = now.Add(time.Hour)
-	if !b.allow(now) || !b.allow(now) {
-		t.Fatal("burst should refill after idle")
-	}
-	if b.allow(now) {
-		t.Fatal("refill must cap at burst")
-	}
-}
-
-func TestBucketUnlimited(t *testing.T) {
-	b := newBucket(0, 0)
-	now := time.Unix(0, 0)
-	for i := 0; i < 1000; i++ {
-		if !b.allow(now) {
-			t.Fatal("rate 0 means unlimited")
-		}
-	}
-}

@@ -32,6 +32,13 @@ mkdir -p out
 go test -run - -bench . -benchmem -benchtime 1x -count 2 \
     . ./internal/nn ./internal/explore ./internal/engine ./internal/serving ./internal/tenant ./internal/shard | tee out/bench-check.txt
 
+echo "== gated gateway benchmarks at a real b.N (-benchtime 100ms)"
+# The smoke above runs one iteration; this leg makes the gated serving
+# benchmarks prove they finish (drain, queue-full absorption) at the
+# b.N a trajectory recording uses.
+go test -run - -bench 'GatewayThroughput|TenantFairness' -benchtime 100ms \
+    ./internal/serving ./internal/tenant
+
 # Regression gate: diff the smoke run against the latest committed
 # trajectory point. The smoke is single-iteration and the baseline may
 # come from a different machine, so the default threshold is generous
