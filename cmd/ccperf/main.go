@@ -44,6 +44,7 @@ import (
 	"ccperf/internal/report"
 	"ccperf/internal/serving"
 	"ccperf/internal/telemetry"
+	"ccperf/internal/tenant"
 	"ccperf/internal/train"
 	"ccperf/internal/workload"
 )
@@ -146,10 +147,11 @@ commands:
                 cost-accuracy frontier, and the dedicated baseline
   spec          build a custom CNN from a spec file, cost it, sweep pruning
   serve         HTTP telemetry endpoint: /metrics, /trace, /debug/pprof/
-                (-gateway mounts the live gateway at /infer; -autoscale
-                adds the control plane and /autoscale/status; -tenants
-                mounts the multi-tenant gateway with per-tenant
-                /gateway/status rows instead)
+                (-gateway mounts the live gateway at /infer and
+                /gateway/status; -tenants hosts a spec file's tenants on
+                it instead of one ladder; -autoscale adds the control
+                plane at /autoscale/status, or with -tenants the joint
+                scaler at /joint/status)
   benchjson     convert 'go test -bench' output to a ccperf/v1 bench
                 envelope (-count-aware; -sha/-benchtime/-count record
                 provenance, -loadtest folds a loadtest report's macro
@@ -567,7 +569,7 @@ func loadtestCmd(args []string) error {
 	maxP99 := fs.Duration("max-p99", 0, "exit non-zero when the measured p99 exceeds this (0 = no gate)")
 	faultSpec := faultsFlag(fs, "crash@0:2+3,err:0.02,seed=7")
 	chaos := fs.Bool("chaos", false, "inject a canned seeded chaos schedule (crash replica 0 for the middle third of the run, plus a 2% error rate)")
-	maxErrorRate := fs.Float64("max-error-rate", 1, "exit non-zero when (shed+expired+faulted)/submitted exceeds this fraction")
+	maxErrorRate := fs.Float64("max-error-rate", 1, "exit non-zero when (shed+expired+faulted+stopped+other)/submitted exceeds this fraction (with -tenants: the worst tenant's)")
 	tenantsSpec := fs.String("tenants", "", "tenant spec file: host N ladders with per-tenant SLOs/quotas on one shared fleet (see docs/MULTITENANT.md; each tenant replays its own offered_qps Poisson load, so -requests/-pattern are ignored)")
 	shards := fs.Int("shards", 0, "route across N sharded gateways spread over -regions (consistent hashing, health-aware regional failover; -pattern is replaced by -shape; see docs/RESILIENCE.md)")
 	regionsSpec := fs.String("regions", "us-west,us-east", "comma-separated regions hosting the shards round-robin (with -shards)")
@@ -772,7 +774,7 @@ func loadtestCmd(args []string) error {
 // -gateway it also starts an inference gateway and mounts its /infer and
 // /gateway/status routes on the same listener.
 func serveCmd(ctx context.Context, args []string) error {
-	fs := newFlagSet("serve", "HTTP telemetry endpoint: /metrics, /trace, /debug/pprof/ (-gateway adds /infer, -autoscale adds /autoscale/status)")
+	fs := newFlagSet("serve", "HTTP telemetry endpoint: /metrics, /trace, /debug/pprof/ (-gateway or -tenants adds /infer and /gateway/status, -autoscale adds /autoscale/status or /joint/status)")
 	addr := fs.String("addr", ":8080", "listen address")
 	model := modelFlag(fs)
 	demo := fs.Bool("demo", false, "run a small pareto enumeration first to populate metrics")
@@ -785,7 +787,7 @@ func serveCmd(ctx context.Context, args []string) error {
 	minReplicas := fs.Int("min-replicas", 1, "autoscale floor (with -autoscale)")
 	maxReplicas := fs.Int("max-replicas", 8, "autoscale ceiling (with -autoscale)")
 	instance := fs.String("instance", "p2.xlarge", "instance type pricing each replica (with -autoscale)")
-	tenantsSpec := fs.String("tenants", "", "tenant spec file: mount the multi-tenant gateway instead (per-tenant /gateway/status rows; -autoscale adds the joint scaler)")
+	tenantsSpec := fs.String("tenants", "", "tenant spec file: host its tenants on the gateway instead of one ladder (-autoscale adds the joint scaler at /joint/status)")
 	fs.Parse(args)
 
 	if *demo {
@@ -799,26 +801,27 @@ func serveCmd(ctx context.Context, args []string) error {
 		fmt.Fprintln(os.Stderr, "serve: demo enumeration done, metrics populated")
 	}
 	handler := telemetry.Handler(nil, nil)
-	if *tenantsSpec != "" {
-		h, err := mountTenantGateway(*model, *tenantsSpec, *instance, *replicas,
-			*autoscaleOn, *budget, *minReplicas, *maxReplicas, handler)
-		if err != nil {
-			return err
-		}
-		handler = h
-	} else if *gateway || *autoscaleOn {
-		ratios, err := parseRatios(*ladderSpec)
-		if err != nil {
-			return err
-		}
+	if *tenantsSpec != "" || *gateway || *autoscaleOn {
 		opts := []ccperf.Option{
 			ccperf.WithGateway(),
 			ccperf.WithReplicas(*replicas),
-			ccperf.WithSLO(*slo),
 			ccperf.WithInstance(*instance),
 		}
-		if len(ratios) > 0 {
-			opts = append(opts, ccperf.WithLadder(ratios...))
+		if *tenantsSpec != "" {
+			specs, err := tenant.LoadSpecs(*tenantsSpec)
+			if err != nil {
+				return fmt.Errorf("serve: -tenants: %w", err)
+			}
+			opts = append(opts, ccperf.WithTenants(specs))
+		} else {
+			ratios, err := parseRatios(*ladderSpec)
+			if err != nil {
+				return err
+			}
+			opts = append(opts, ccperf.WithSLO(*slo))
+			if len(ratios) > 0 {
+				opts = append(opts, ccperf.WithLadder(ratios...))
+			}
 		}
 		if *autoscaleOn {
 			opts = append(opts, ccperf.WithAutoscale(*budget, *minReplicas, *maxReplicas))
@@ -829,18 +832,24 @@ func serveCmd(ctx context.Context, args []string) error {
 		}
 		st.Start()
 		g := st.Gateway()
+		gh := serving.Handler(g)
 		mux := http.NewServeMux()
-		mux.Handle("/infer", serving.Handler(g))
-		mux.Handle("/gateway/status", serving.Handler(g))
+		mux.Handle("/infer", gh)
+		mux.Handle("/gateway/status", gh)
 		if as := st.Autoscaler(); as != nil {
 			mux.Handle("/autoscale/status", autoscale.Handler(as))
 			fmt.Fprintf(os.Stderr, "serve: autoscaler up (%d–%d replicas, $%.2f/h budget, %s ticks)\n",
 				*minReplicas, *maxReplicas, *budget, as.Interval())
 		}
+		if sc := st.TenantScaler(); sc != nil {
+			mux.Handle("/joint/status", tenant.Handler(sc))
+			fmt.Fprintf(os.Stderr, "serve: joint scaler up (%d–%d replicas, $%.2f/h budget, %s ticks)\n",
+				*minReplicas, *maxReplicas, *budget, sc.Interval())
+		}
 		mux.Handle("/", handler)
 		handler = mux
-		fmt.Fprintf(os.Stderr, "serve: gateway up (%d replicas, %d-variant ladder, SLO %s)\n",
-			g.Config().Replicas, len(g.Config().Ladder), g.Config().SLO)
+		fmt.Fprintf(os.Stderr, "serve: gateway up (%d tenants sharing %d replicas; per-tenant rows at /gateway/status)\n",
+			len(g.AllTenantStats()), g.ReplicaCount())
 	}
 	fmt.Fprintf(os.Stderr, "serve: listening on %s (/metrics, /trace, /debug/pprof/, /debug/vars)\n", *addr)
 	return http.ListenAndServe(*addr, handler)

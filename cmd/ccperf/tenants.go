@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -138,42 +137,6 @@ func tenantLoadtest(o tenantLoadtestOpts) error {
 		}
 	}
 	return nil
-}
-
-// mountTenantGateway opens the multi-tenant stack for `serve -tenants` and
-// mounts its /infer and /gateway/status routes in front of the fallback
-// telemetry handler. The stack runs for the life of the process.
-func mountTenantGateway(model, specPath, instance string, replicas int, autoscaleOn bool, budget float64, minReplicas, maxReplicas int, fallback http.Handler) (http.Handler, error) {
-	specs, err := tenant.LoadSpecs(specPath)
-	if err != nil {
-		return nil, fmt.Errorf("serve: -tenants: %w", err)
-	}
-	opts := []ccperf.Option{
-		ccperf.WithTenants(specs),
-		ccperf.WithReplicas(replicas),
-		ccperf.WithInstance(instance),
-	}
-	if autoscaleOn {
-		opts = append(opts, ccperf.WithAutoscale(budget, minReplicas, maxReplicas))
-	}
-	st, err := ccperf.Open(model, opts...)
-	if err != nil {
-		return nil, err
-	}
-	st.Start()
-	g := st.Gateway()
-	h := tenant.Handler(g, st.TenantScaler())
-	hmux := http.NewServeMux()
-	hmux.Handle("/infer", h)
-	hmux.Handle("/gateway/status", h)
-	hmux.Handle("/", fallback)
-	if sc := st.TenantScaler(); sc != nil {
-		fmt.Fprintf(os.Stderr, "serve: joint scaler up (%d–%d replicas, $%.2f/h budget, %s ticks)\n",
-			minReplicas, maxReplicas, budget, sc.Interval())
-	}
-	fmt.Fprintf(os.Stderr, "serve: multi-tenant gateway up (%d tenants sharing %d replicas; per-tenant rows at /gateway/status)\n",
-		len(specs), g.ReplicaCount())
-	return hmux, nil
 }
 
 // packCmd enumerates multi-tenant packings offline: which tenants should

@@ -263,50 +263,6 @@ func TestLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadLegacySnapshot(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.json")
-	snap := telemetry.Snapshot{
-		UnixNano: 42,
-		Counters: map[string]int64{"bench.BenchmarkEnumerate.iterations": 10},
-		Gauges: map[string]float64{
-			"bench.BenchmarkEnumerate.ns_per_op":         123456,
-			"bench.BenchmarkEnumerate.allocs_per_op":     12,
-			"bench.BenchmarkGatewayThroughput.req_per_s": 900,
-			"unrelated.gauge":                            1,
-		},
-	}
-	if err := report.WriteEnvelopeFile(path, report.KindBench, snap); err != nil {
-		t.Fatal(err)
-	}
-	out, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Benchmarks) != 2 {
-		t.Fatalf("benchmarks = %+v", out.Benchmarks)
-	}
-	e := out.Series("BenchmarkEnumerate")
-	if e == nil || e.Values["ns/op"][0] != 123456 || e.Values["allocs/op"][0] != 12 {
-		t.Fatalf("legacy series = %+v", e)
-	}
-	if e.Iterations[0] != 10 {
-		t.Fatalf("legacy iterations = %v", e.Iterations)
-	}
-	g := out.Series("BenchmarkGatewayThroughput")
-	if g == nil || g.Values["req/s"][0] != 900 {
-		t.Fatalf("legacy unit desanitization: %+v", g)
-	}
-	// A legacy baseline vs itself must be clean end-to-end via CompareFiles.
-	rep, err := CompareFiles(path, path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.HasRegressions() {
-		t.Fatalf("self-compare regressions: %v", rep.Regressions)
-	}
-}
-
 func TestLoadRejectsWrongKind(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wrong.json")

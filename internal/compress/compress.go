@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 
-	"ccperf/internal/nn"
 	"ccperf/internal/tensor"
 )
 
@@ -215,53 +214,4 @@ func TimeSpeedup(bits int, hardwareSupport bool) float64 {
 		return 1
 	}
 	return 32 / float64(bits)
-}
-
-// QuantizeNet quantizes every prunable layer of a network to the given bit
-// width and rebuilds their execution structures. Composes with pruning
-// (zeros survive).
-func QuantizeNet(n *nn.Net, bits int) error {
-	for _, p := range n.Prunables() {
-		w := p.Weights()
-		if w == nil {
-			return fmt.Errorf("compress: layer %q not initialized", p.Name())
-		}
-		if err := Quantize(w, bits); err != nil {
-			return fmt.Errorf("compress: layer %q: %w", p.Name(), err)
-		}
-		p.Rebuild()
-	}
-	return nil
-}
-
-// ShareNetWeights applies weight sharing with a k-value codebook to every
-// prunable layer of a network.
-func ShareNetWeights(n *nn.Net, k, iters int) error {
-	for _, p := range n.Prunables() {
-		w := p.Weights()
-		if w == nil {
-			return fmt.Errorf("compress: layer %q not initialized", p.Name())
-		}
-		if _, err := WeightShare(w, k, iters); err != nil {
-			return fmt.Errorf("compress: layer %q: %w", p.Name(), err)
-		}
-		p.Rebuild()
-	}
-	return nil
-}
-
-// NetBytes reports a network's weight storage at full precision, under
-// quantization, and under weight sharing — the memory column of the
-// paper's Section 2.1 comparison.
-func NetBytes(n *nn.Net, bits, k int) (full, quantized, shared int64) {
-	for _, p := range n.Prunables() {
-		w := p.Weights()
-		if w == nil {
-			continue
-		}
-		full += int64(4 * len(w.Data))
-		quantized += QuantizedBytes(w, bits)
-		shared += SharedBytes(w, k)
-	}
-	return full, quantized, shared
 }

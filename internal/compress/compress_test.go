@@ -283,56 +283,3 @@ func TestQuantizeIdempotentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestQuantizeNetAndShareNet(t *testing.T) {
-	mk := func() *nn.Net {
-		n := nn.NewNet("q", nn.Shape{C: 2, H: 8, W: 8})
-		n.Add(
-			nn.NewConv("c1", 4, 3, 3, 1, 1, 1, 1, 1),
-			nn.NewFlatten("f"),
-			nn.NewFC("fc", 3),
-		)
-		if err := n.Init(6); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	n := mk()
-	if err := QuantizeNet(n, 4); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range n.Prunables() {
-		if d := DistinctValues(p.Weights()); d > 16 {
-			t.Fatalf("%s has %d distinct values after 4-bit quantization", p.Name(), d)
-		}
-	}
-	if err := QuantizeNet(n, 0); err == nil {
-		t.Fatal("expected error for bits=0")
-	}
-
-	n2 := mk()
-	if err := ShareNetWeights(n2, 8, 10); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range n2.Prunables() {
-		if d := DistinctValues(p.Weights()); d > 8 {
-			t.Fatalf("%s has %d distinct values after sharing", p.Name(), d)
-		}
-	}
-
-	full, q, s := NetBytes(mk(), 8, 16)
-	if full <= 0 || q >= full || s >= full {
-		t.Fatalf("bytes = %d/%d/%d", full, q, s)
-	}
-}
-
-func TestQuantizeNetUninitialized(t *testing.T) {
-	n := nn.NewNet("u", nn.Shape{C: 1, H: 8, W: 8})
-	n.Add(nn.NewConv("c", 2, 3, 3, 1, 1, 1, 1, 1))
-	if err := QuantizeNet(n, 8); err == nil {
-		t.Fatal("expected error for uninitialized layer")
-	}
-	if err := ShareNetWeights(n, 8, 5); err == nil {
-		t.Fatal("expected error for uninitialized layer")
-	}
-}

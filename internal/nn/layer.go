@@ -59,10 +59,6 @@ type Layer interface {
 	// and output memory; a nil ws makes the layer heap-allocate its output
 	// (the pre-workspace behavior). Workspace-backed outputs stay valid
 	// until the workspace is Reset — see Workspace.
-	//
-	// NOTE: this signature changed when the zero-allocation forward path
-	// landed (internal API bump); Net.ForwardAlloc keeps the old
-	// allocate-per-call convenience.
 	Forward(in *tensor.Tensor, ws *Workspace) *tensor.Tensor
 	// Cost reports the work for one forward pass on the given input shape.
 	Cost(in Shape) Cost

@@ -95,7 +95,7 @@ func (n *Net) OutShape() Shape {
 // released back to the workspace as soon as the next layer consumed it,
 // and the returned tensor stays valid until the next Forward/Reset on the
 // same workspace — Clone it to keep it longer. ws == nil allocates every
-// activation on the heap (see ForwardAlloc).
+// activation on the heap, independently owned by the caller.
 func (n *Net) Forward(in *tensor.Tensor, ws *Workspace) *tensor.Tensor {
 	if in.Dim(0) != n.Input.C || in.Dim(1) != n.Input.H || in.Dim(2) != n.Input.W {
 		panic(fmt.Sprintf("nn: %s input shape %v, want %v", n.Name, in.Shape, n.Input))
@@ -115,12 +115,6 @@ func (n *Net) Forward(in *tensor.Tensor, ws *Workspace) *tensor.Tensor {
 		x = y
 	}
 	return x
-}
-
-// ForwardAlloc is the pre-workspace convenience path: every activation is
-// heap-allocated and the result is independently owned by the caller.
-func (n *Net) ForwardAlloc(in *tensor.Tensor) *tensor.Tensor {
-	return n.Forward(in, nil)
 }
 
 // LayerCost describes one layer's cost at its position in the network.

@@ -103,7 +103,7 @@ func TestWorkspaceResetReclaimsEverything(t *testing.T) {
 func TestForwardWorkspaceMatchesAlloc(t *testing.T) {
 	n := testNet(t)
 	img := testImage(n.Input)
-	want := n.ForwardAlloc(img)
+	want := n.Forward(img, nil)
 	ws := NewWorkspace()
 	for pass := 0; pass < 3; pass++ {
 		got := n.Forward(img, ws)
@@ -132,7 +132,7 @@ func TestForwardWorkspaceMatchesAlloc(t *testing.T) {
 	if !p.(*Conv).UsesSparseKernel() {
 		t.Fatal("conv2 did not switch to CSR")
 	}
-	want = n.ForwardAlloc(img)
+	want = n.Forward(img, nil)
 	got := n.Forward(img, ws)
 	for i, v := range got.Data {
 		if v != want.Data[i] {
@@ -217,7 +217,7 @@ func TestLayerForwardZeroAllocs(t *testing.T) {
 func TestWorkspacePoolConcurrent(t *testing.T) {
 	n := testNet(t)
 	img := testImage(n.Input)
-	want := n.ForwardAlloc(img)
+	want := n.Forward(img, nil)
 	pool := NewWorkspacePool(1)
 	const workers, rounds = 8, 25
 	var wg sync.WaitGroup
@@ -273,7 +273,7 @@ func TestForwardBatchPoolMatchesSerial(t *testing.T) {
 	}
 	var want []*tensor.Tensor
 	for _, img := range imgs {
-		want = append(want, n.ForwardAlloc(img))
+		want = append(want, n.Forward(img, nil))
 	}
 	pool := NewWorkspacePool(2)
 	got := n.ForwardBatchPool(imgs, 3, pool)

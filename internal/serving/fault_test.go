@@ -333,7 +333,7 @@ func TestChaosEndToEnd(t *testing.T) {
 }
 
 func TestReportErrorRate(t *testing.T) {
-	r := &Report{Submitted: 200, Shed: 10, Expired: 5, Faulted: 5}
+	r := &Report{Tally: Tally{Submitted: 200, Shed: 10, Expired: 5, Faulted: 5}}
 	if got := r.ErrorRate(); got != 0.1 {
 		t.Fatalf("error rate = %v, want 0.1", got)
 	}

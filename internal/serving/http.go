@@ -12,18 +12,21 @@ import (
 )
 
 // InferRequest is the POST /infer body. Either Image (flat CHW data whose
-// length matches the gateway model's input volume) or Seed (a synthetic
+// length matches the tenant model's input volume) or Seed (a synthetic
 // deterministic image — handy for curl) must be set.
 type InferRequest struct {
-	Image []float32 `json:"image,omitempty"`
-	Seed  int64     `json:"seed,omitempty"`
-	// DeadlineMS overrides the gateway's default per-request deadline,
+	// Tenant is the tenant to submit as (empty = DefaultTenant).
+	Tenant string    `json:"tenant,omitempty"`
+	Image  []float32 `json:"image,omitempty"`
+	Seed   int64     `json:"seed,omitempty"`
+	// DeadlineMS overrides the tenant's default per-request deadline,
 	// in milliseconds from arrival (0 = use the default).
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`
 }
 
 // InferResponse is the POST /infer reply.
 type InferResponse struct {
+	Tenant   string  `json:"tenant"`
 	ID       int64   `json:"id"`
 	Class    int     `json:"class"`
 	Variant  int     `json:"variant"`
@@ -37,12 +40,14 @@ type InferResponse struct {
 
 // Handler exposes the gateway over HTTP:
 //
-//	POST /infer           run one inference (InferRequest → InferResponse)
-//	GET  /gateway/status  Stats as JSON
+//	POST /infer           run one inference as a tenant (InferRequest → InferResponse)
+//	GET  /gateway/status  Stats plus one TenantStats row per tenant, as JSON
 //
-// Shedding maps to 429 Too Many Requests, an expired deadline to 504
-// Gateway Timeout, shutdown to 503 Service Unavailable — so a load
-// balancer in front sees the standard signals.
+// Shedding and quota rejections map to 429 Too Many Requests, an unknown
+// tenant to 404, an expired deadline to 504 Gateway Timeout, shutdown to
+// 503 Service Unavailable (StatusFor) — so a load balancer in front sees
+// the standard signals. A request without a tenant on a gateway that
+// hosts no DefaultTenant is a 400.
 func Handler(g *Gateway) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
@@ -55,7 +60,20 @@ func Handler(g *Gateway) http.Handler {
 			http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		shape := g.tenants[0].Ladder[0].Net.Input
+		tenant := req.Tenant
+		if tenant == "" {
+			if g.tenant(DefaultTenant) == nil {
+				http.Error(w, "tenant field required", http.StatusBadRequest)
+				return
+			}
+			tenant = DefaultTenant
+		}
+		t, err := g.lookup(tenant)
+		if err != nil {
+			http.Error(w, err.Error(), StatusFor(err))
+			return
+		}
+		shape := t.Ladder[0].Net.Input
 		var img *tensor.Tensor
 		switch {
 		case len(req.Image) > 0:
@@ -71,14 +89,15 @@ func Handler(g *Gateway) http.Handler {
 		if req.DeadlineMS > 0 {
 			deadline = time.Now().Add(time.Duration(req.DeadlineMS * float64(time.Millisecond)))
 		}
-		resp := g.Infer(r.Context(), img, deadline)
+		resp := g.InferAs(r.Context(), tenant, img, deadline)
 		if resp.Err != nil {
 			http.Error(w, resp.Err.Error(), StatusFor(resp.Err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(InferResponse{
-			ID: resp.ID, Class: resp.Class,
+			Tenant: tenant,
+			ID:     resp.ID, Class: resp.Class,
 			Variant: resp.Variant, Degree: resp.Degree, Accuracy: resp.Accuracy,
 			QueueMS:  float64(resp.Queue) / float64(time.Millisecond),
 			TotalMS:  float64(resp.Total) / float64(time.Millisecond),
@@ -90,7 +109,10 @@ func Handler(g *Gateway) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(g.Stats())
+		enc.Encode(struct {
+			Stats
+			Tenants []TenantStats `json:"tenants"`
+		}{g.Stats(), g.AllTenantStats()})
 	})
 	return mux
 }

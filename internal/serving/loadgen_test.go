@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ccperf/internal/telemetry"
+	"ccperf/internal/tensor"
 	"ccperf/internal/workload"
 )
 
@@ -105,10 +106,10 @@ func TestRunLoadReport(t *testing.T) {
 	if int64(rep.Submitted) != trace.Total() {
 		t.Fatalf("submitted %d, trace total %d", rep.Submitted, trace.Total())
 	}
-	if rep.OK+rep.Shed+rep.Expired != rep.Submitted {
+	if rep.Served()+rep.Shed+rep.Expired != rep.Submitted {
 		t.Fatalf("outcomes don't add up: %+v", rep)
 	}
-	if got := rep.OK + rep.Shed + rep.Expired + rep.Faulted + rep.Stopped + rep.Rejected + rep.Other; got != rep.Submitted {
+	if got := rep.Served() + rep.Shed + rep.Expired + rep.Faulted + rep.Stopped + rep.Rejected + rep.Other; got != rep.Submitted {
 		t.Fatalf("outcome buckets sum to %d, submitted %d", got, rep.Submitted)
 	}
 	if rep.OK == 0 {
@@ -118,8 +119,8 @@ func TestRunLoadReport(t *testing.T) {
 	for _, n := range rep.PerVariant {
 		perVariant += n
 	}
-	if perVariant != rep.OK {
-		t.Fatalf("per-variant %v sums to %d, want %d", rep.PerVariant, perVariant, rep.OK)
+	if perVariant != rep.Served() {
+		t.Fatalf("per-variant %v sums to %d, want %d", rep.PerVariant, perVariant, rep.Served())
 	}
 	if rep.P99MS < rep.P50MS || rep.MaxMS < rep.P99MS {
 		t.Fatalf("percentiles disordered: %+v", rep)
@@ -174,4 +175,61 @@ func TestLoadTestLeavesNoGoroutines(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines grew from %d to %d after loadtest", before, runtime.NumGoroutine())
+}
+
+// TestReplayLatencyCountsGeneratorLag: latency runs from the scheduled
+// arrival, so a submit that holds the generator for d delays the arrival
+// scheduled behind it by at least d, although that arrival's own submit
+// answers at once.
+func TestReplayLatencyCountsGeneratorLag(t *testing.T) {
+	const d = 30 * time.Millisecond
+	ladder := testLadder(t)
+	run := Replay[Response]{
+		Schedule: []Arrival{{At: 0, Tenant: "blocked"}, {At: 0, Tenant: "next"}},
+		Tracer:   telemetry.NewTracer(16),
+		Ladder:   func(string) []Variant { return ladder },
+		Submit: func(_ context.Context, i int, _ *tensor.Tensor, _ time.Time) (<-chan Response, error) {
+			if i == 0 {
+				time.Sleep(d)
+			}
+			ch := make(chan Response, 1)
+			ch <- Response{ID: int64(i), Accuracy: 1}
+			return ch, nil
+		},
+	}.Run()
+	next := run.Tenants["next"]
+	if run.Total.OK != 2 || next.OK != 1 {
+		t.Fatalf("tally %+v, next %+v", run.Total, next)
+	}
+	if got := time.Duration(next.MaxMS * float64(time.Millisecond)); got < d {
+		t.Fatalf("next arrival's latency %v, want at least the generator's %v lag", got, d)
+	}
+}
+
+// TestRunLoadReturnsWhenStoppedMidReplay: a gateway stopped under a
+// replay refuses the remaining arrivals; the replay still returns with
+// every request in one bucket.
+func TestRunLoadReturnsWhenStoppedMidReplay(t *testing.T) {
+	g := testGateway(t, Config{Replicas: 1, QueueCap: 16})
+	g.Start()
+	trace, err := workload.Generate(workload.Config{Pattern: workload.Uniform, DailyTotal: 200, Windows: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	time.AfterFunc(100*time.Millisecond, func() {
+		g.Stop()
+		close(stopped)
+	})
+	rep, err := RunLoad(g, LoadConfig{Trace: trace, Duration: 400 * time.Millisecond, Seed: 3})
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stopped == 0 {
+		t.Fatalf("no arrival after Stop was refused: %+v", rep.Tally)
+	}
+	if got := rep.Served() + rep.Shed + rep.Expired + rep.Faulted + rep.Stopped + rep.Rejected + rep.Other; got != rep.Submitted {
+		t.Fatalf("outcome buckets sum to %d, submitted %d", got, rep.Submitted)
+	}
 }

@@ -10,6 +10,7 @@ type Outcome int
 // The outcomes, in report order.
 const (
 	OutcomeOK       Outcome = iota // served
+	OutcomeLate                    // served after a replay's deadline (never returned by Classify)
 	OutcomeShed                    // ErrOverloaded: the tenant's backlog was full
 	OutcomeExpired                 // ErrExpired: the deadline passed first
 	OutcomeFaulted                 // ErrFaulted: injected faults outlasted the retries
@@ -18,7 +19,7 @@ const (
 	OutcomeOther                   // any other error
 )
 
-var outcomeNames = [...]string{"ok", "shed", "expired", "faulted", "stopped", "rejected", "other"}
+var outcomeNames = [...]string{"ok", "late", "shed", "expired", "faulted", "stopped", "rejected", "other"}
 
 // String names the outcome as span labels and reports print it.
 func (o Outcome) String() string { return outcomeNames[o] }

@@ -17,8 +17,8 @@
 //     next tenant by weighted deficit round-robin, then coalesces that
 //     tenant's requests up to Config.MaxBatch or until Config.BatchTimeout
 //     after the first, whichever comes first, and stops waiting early when
-//     another tenant has work queued. The batch runs through
-//     nn.(*Net).ForwardBatchPool on pooled workspaces — the serving-side
+//     another tenant has work queued. The batch runs through the real nn
+//     forward path on the replica's own workspace — the serving-side
 //     analogue of the GPU batch saturation of Figure 5.
 //   - Resilience: per-replica circuit breakers and a retry path for
 //     fault-injected requests (chaos testing through Config.Injector).
@@ -246,6 +246,13 @@ type replicaHandle struct {
 	brk     *breaker
 	stop    chan struct{} // closed exactly once by ScaleTo (guarded by scaleMu)
 	retired bool          // guarded by Gateway.scaleMu
+
+	// ws is the replica's own forward workspace for its lifetime, so a
+	// warmed replica runs the nn forward path allocation-free; wsAllocs is
+	// the workspace allocation count already folded into the gateway's.
+	// Both belong to the replica's goroutine.
+	ws       *nn.Workspace
+	wsAllocs uint64
 }
 
 // Gateway is the online inference service. Construct with New, then Start;
@@ -295,9 +302,9 @@ type Gateway struct {
 
 	healthy int // consecutive healthy intervals (controller goroutine only)
 
-	// wsPool hands forward workspaces to batch workers, so steady-state
-	// batches run the nn forward path allocation-free.
-	wsPool *nn.WorkspacePool
+	// wsAllocs and wsBatches total the replicas' workspace allocations
+	// and the batches run through them.
+	wsAllocs, wsBatches atomic.Uint64
 
 	m gatewayMetrics
 }
@@ -330,7 +337,6 @@ func New(cfg Config) (*Gateway, error) {
 		current:  -1,
 		arrivals: make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
-		wsPool:   nn.NewWorkspacePool(1),
 	}
 	reg := cfg.Registry
 	g.m = gatewayMetrics{
@@ -375,7 +381,7 @@ func (g *Gateway) newReplicaLocked() *replicaHandle {
 	id := g.replicaSeq
 	g.replicaSeq++
 	state := g.cfg.Registry.Gauge(fmt.Sprintf("serving.breaker_state.r%d", id))
-	h := &replicaHandle{id: id, stop: make(chan struct{})}
+	h := &replicaHandle{id: id, stop: make(chan struct{}), ws: nn.NewWorkspace()}
 	h.brk = newBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerCooldown,
 		func(from, to BreakerState) {
 			state.Set(float64(to))
@@ -752,20 +758,20 @@ func (g *Gateway) execute(h *replicaHandle, t *tenantState, batch []*request, pu
 	if len(failed) > 0 {
 		g.m.faulted.Add(int64(len(failed)))
 		t.m.faulted.Add(int64(len(failed)))
+		// The breaker sees a wholly failed batch before its requests are
+		// answered, so a caller woken by the failure already observes it.
+		if len(live) == 0 {
+			h.brk.observe(false, time.Now())
+		}
 		for _, r := range failed {
 			g.retryOrFail(r)
 		}
 		if len(live) == 0 {
-			h.brk.observe(false, time.Now())
 			return
 		}
 	}
 	vi := int(t.variant.Load())
 	v := &t.Ladder[vi]
-	imgs := make([]*tensor.Tensor, len(live))
-	for i, r := range live {
-		imgs[i] = r.img
-	}
 	// The batch span parents under the first live request's serving.request
 	// span, and the nn forward pass gets its own child span, so
 	// queue/assembly/forward attribution shows up in the trace tree, not
@@ -777,12 +783,16 @@ func (g *Gateway) execute(h *replicaHandle, t *tenantState, batch []*request, pu
 	execStart := time.Now()
 	bctx, finish := g.cfg.Tracer.StartSpan(parent, "serving.batch")
 	_, finishFwd := g.cfg.Tracer.StartSpan(bctx, "serving.forward")
-	outs := v.Net.ForwardBatchPool(imgs, 1, g.wsPool)
+	classes := make([]int, len(live))
+	for i, r := range live {
+		classes[i] = v.Net.Forward(r.img, h.ws).ArgMax()
+	}
 	fwdDone := time.Now()
 	finishFwd()
-	if a, _, gets := g.wsPool.AllocStats(); gets > 0 {
-		g.m.wsAllocsPerOp.Set(float64(a) / float64(gets))
-	}
+	a, _ := h.ws.AllocStats()
+	allocs := g.wsAllocs.Add(a - h.wsAllocs)
+	h.wsAllocs = a
+	g.m.wsAllocsPerOp.Set(float64(allocs) / float64(g.wsBatches.Add(1)))
 	fwd := fwdDone.Sub(execStart).Seconds()
 	g.m.forward.Observe(fwd)
 	t.m.forward.Observe(fwd)
@@ -814,7 +824,7 @@ func (g *Gateway) execute(h *replicaHandle, t *tenantState, batch []*request, pu
 		t.observeLatency(total.Seconds())
 		r.respond(Response{
 			ID:       r.id,
-			Class:    outs[i].ArgMax(),
+			Class:    classes[i],
 			Variant:  vi,
 			Degree:   v.Degree.Label(),
 			Accuracy: v.Accuracy,
@@ -899,10 +909,11 @@ type Stats struct {
 	BreakerOpens int64    `json:"breaker_opens"`
 	OpenBreakers int      `json:"open_breakers"`
 	Breakers     []string `json:"breakers"`
-	// Workspace-pool health: cumulative scratch-buffer allocations by the
-	// forward workspaces, total workspace checkouts, and their ratio. The
-	// count plateaus once traffic has warmed the pool — a growing ratio
-	// means the zero-allocation steady state is broken.
+	// Workspace health: cumulative scratch-buffer allocations by the
+	// replicas' forward workspaces, the batches run through them, and
+	// their ratio. The count plateaus once traffic has warmed every
+	// replica's workspace — growth after that means the zero-allocation
+	// steady state is broken.
 	WsAllocs      uint64  `json:"ws_allocs"`
 	WsGets        uint64  `json:"ws_gets"`
 	WsAllocsPerOp float64 `json:"ws_allocs_per_op"`
@@ -936,7 +947,7 @@ func (g *Gateway) Stats() Stats {
 	for _, t := range g.tenants {
 		queueCap += t.QueueCap
 	}
-	wsAllocs, _, wsGets := g.wsPool.AllocStats()
+	wsAllocs, wsGets := g.wsAllocs.Load(), g.wsBatches.Load()
 	var wsPerOp float64
 	if wsGets > 0 {
 		wsPerOp = float64(wsAllocs) / float64(wsGets)

@@ -201,7 +201,7 @@ func TestRunLoadAccountsEveryRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.OK + rep.Shed + rep.Expired + rep.Faulted + rep.Stopped + rep.Rejected + rep.Other; got != rep.Submitted {
+	if got := rep.Served() + rep.Shed + rep.Expired + rep.Faulted + rep.Stopped + rep.Rejected + rep.Other; got != rep.Submitted {
 		t.Fatalf("outcomes sum to %d, submitted %d: %+v", got, rep.Submitted, rep)
 	}
 	if rep.Faulted+rep.Shed == 0 && g.Stats().Retries == 0 {

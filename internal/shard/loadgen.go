@@ -2,17 +2,16 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"ccperf/internal/cloud"
 	"ccperf/internal/fault"
 	"ccperf/internal/serving"
-	"ccperf/internal/stats"
-	"ccperf/internal/telemetry"
+	"ccperf/internal/tensor"
 	"ccperf/internal/workload"
 )
 
@@ -109,17 +108,11 @@ type RegionReport struct {
 	MeanAccuracy float64 `json:"mean_accuracy"`
 }
 
-// Report summarizes one sharded replay.
+// Report summarizes one sharded replay. Its Tally's OK and Late split the
+// served requests at LoadConfig.Deadline, so OK is the on-time count the
+// cost columns are normalized by.
 type Report struct {
-	Submitted int `json:"submitted"`
-	OK        int `json:"ok"`
-	Late      int `json:"late"`
-	Shed      int `json:"shed"`
-	Expired   int `json:"expired"`
-	Faulted   int `json:"faulted"`
-	Stopped   int `json:"stopped"`
-	Rejected  int `json:"rejected"`
-	Other     int `json:"other_errors"`
+	serving.Tally
 
 	// Rerouted counts submissions that spilled past their home shard;
 	// Failovers responses resubmitted on another shard after a failure;
@@ -131,14 +124,6 @@ type Report struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	Throughput  float64 `json:"throughput_rps"`
 
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-	MaxMS float64 `json:"max_ms"`
-
-	MeanAccuracy float64 `json:"mean_accuracy"`
-	MinAccuracy  float64 `json:"min_accuracy"`
-
 	// CostUSD and CostPerMillion aggregate the regional bills into the
 	// global $/million-on-time-images point.
 	CostUSD        float64 `json:"cost_usd"`
@@ -147,19 +132,17 @@ type Report struct {
 	Regions []RegionReport `json:"regions"`
 }
 
-// ErrorRate is the fraction of submissions that ended in an error —
-// router sheds, gateway sheds, expiries, exhausted faults, shutdowns and
-// anything else. Late responses are service-level failures but not
-// errors; quota rejections are deliberate back-pressure.
-func (r *Report) ErrorRate() float64 {
-	if r.Submitted == 0 {
-		return 0
-	}
-	return float64(r.failed()) / float64(r.Submitted)
+// MarshalJSON writes the Tally's Other under the key sharded reports have
+// always used, other_errors.
+func (r Report) MarshalJSON() ([]byte, error) {
+	type plain Report
+	return json.Marshal(struct {
+		plain
+		Other int `json:"other_errors"`
+		// Mask shadows the Tally's own "other" key; it is always empty.
+		Mask int `json:"other,omitempty"`
+	}{plain: plain(r), Other: r.Other})
 }
-
-// failed counts the submissions ErrorRate treats as errors.
-func (r *Report) failed() int { return r.Shed + r.Expired + r.Faulted + r.Stopped + r.Other }
 
 // String renders the one-line summary the CLI prints.
 func (r *Report) String() string {
@@ -184,16 +167,15 @@ func (r *Report) FrontierTable() string {
 			reg.DownSeconds, reg.SpotMean, reg.CostPerMillion, reg.MeanAccuracy)
 	}
 	fmt.Fprintf(&b, "%-12s %6s %8d %6d %6d %8s %9s %12.2f %9.4f\n",
-		"global", "", r.OK, r.Late, r.failed(), "", "", r.CostPerMillion, r.MeanAccuracy)
+		"global", "", r.OK, r.Late, r.Failed(), "", "", r.CostPerMillion, r.MeanAccuracy)
 	return b.String()
 }
 
-// RunLoad replays arrivals open-loop through the router, mirroring
-// serving.RunLoad one level up: arrivals fire at their scheduled offsets
-// regardless of progress, latency is measured wall-to-wall around the
-// router (so failover RTT counts), and outcomes are attributed to the
-// region that served them. The caller owns gateway Start/Stop and
-// router Start/Stop.
+// RunLoad replays arrivals open-loop through the router on the shared
+// serving.Replay generator, so latency runs from the scheduled arrival to the
+// routed response (failover RTT counts) and outcomes are attributed to the
+// region that served them. Arrivals cycle through the tenants the shards
+// host. The caller owns gateway Start/Stop and router Start/Stop.
 func RunLoad(r *Router, cfg LoadConfig) (*Report, error) {
 	if cfg.Duration <= 0 {
 		return nil, errors.New("shard: load config needs a positive duration")
@@ -230,112 +212,56 @@ func RunLoad(r *Router, cfg LoadConfig) (*Report, error) {
 		}
 	}
 
-	shape := r.shards[0].gw.Config().Ladder[0].Net.Input
-	rep := &Report{}
-	perShard := make([]struct {
-		ok, late, errs int
-		accSum         float64
-	}, len(r.shards))
-	var mu sync.Mutex
-	latencies := make([]float64, 0, len(arrivals))
-	var wg sync.WaitGroup
-
+	gw := r.shards[0].gw
+	var tenants []string
+	for _, st := range gw.AllTenantStats() {
+		tenants = append(tenants, st.Name)
+	}
+	sched := serving.Arrivals(arrivals, tenants...)
 	shedBefore := r.shed.Value()
 	reroutedBefore := r.rerouted.Value()
 	failoversBefore := r.failovers.Value()
 
-	ctx, finishReplay := r.cfg.Tracer.StartSpan(context.Background(), "shard.replay")
-	start := time.Now()
-	for i, at := range arrivals {
-		offset := time.Duration(at * float64(time.Second))
-		if d := time.Until(start.Add(offset)); d > 0 {
-			time.Sleep(d)
-		}
-		img := serving.SyntheticImage(shape.C, shape.H, shape.W, cfg.Seed+int64(i))
-		var deadline time.Time
-		if cfg.Deadline > 0 {
-			deadline = time.Now().Add(cfg.Deadline)
-		}
-		origin := regions[origins[i]]
-		rep.Submitted++
-		submitted := time.Now()
-		ch, s, err := r.Submit(ctx, Key(cfg.Seed+int64(i)), origin, img, deadline)
-		if err != nil {
-			mu.Lock()
-			rep.count(err)
-			if s >= 0 {
-				perShard[s].errs++
-			}
-			mu.Unlock()
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, ok := <-ch
-			took := time.Since(submitted)
-			mu.Lock()
-			defer mu.Unlock()
-			if !ok {
-				// Channel closed: gateway stopped with no failover target.
-				rep.Stopped++
-				perShard[s].errs++
-				return
-			}
-			if resp.Err != nil {
-				rep.count(resp.Err)
-				perShard[resp.Shard].errs++
-				return
-			}
-			if cfg.Deadline > 0 && took > cfg.Deadline {
-				rep.Late++
-				perShard[resp.Shard].late++
-			} else {
-				rep.OK++
-				perShard[resp.Shard].ok++
-			}
-			perShard[resp.Shard].accSum += resp.Accuracy
-			rep.MeanAccuracy += resp.Accuracy
-			if rep.MinAccuracy == 0 || resp.Accuracy < rep.MinAccuracy {
-				rep.MinAccuracy = resp.Accuracy
-			}
-			latencies = append(latencies, took.Seconds())
-		}()
-	}
-	wg.Wait()
-	finishReplay(telemetry.L("submitted", rep.Submitted))
-	if cfg.Cooldown > 0 {
-		time.Sleep(cfg.Cooldown)
-	}
-	rep.WallSeconds = time.Since(start).Seconds()
+	run := serving.Replay[Routed]{
+		Schedule: sched,
+		Seed:     cfg.Seed,
+		Deadline: cfg.Deadline,
+		Cooldown: cfg.Cooldown,
+		Tracer:   r.cfg.Tracer,
+		Ladder:   gw.Ladder,
+		Submit: func(ctx context.Context, i int, img *tensor.Tensor, deadline time.Time) (<-chan Routed, error) {
+			ch, _, err := r.SubmitAs(ctx, sched[i].Tenant, Key(cfg.Seed+int64(i)), regions[origins[i]], img, deadline)
+			return ch, err
+		},
+		// Outcomes are attributed to the region of the shard that served
+		// the request, after any failover.
+		Group: func(resp Routed) string { return r.shards[resp.Shard].region },
+	}.Run()
+	rep := &Report{Tally: run.Total, WallSeconds: run.Wall.Seconds()}
 	rep.RouterShed = r.shed.Value() - shedBefore
 	rep.Rerouted = r.rerouted.Value() - reroutedBefore
 	rep.Failovers = r.failovers.Value() - failoversBefore
-	served := rep.OK + rep.Late
-	if served > 0 {
-		rep.MeanAccuracy /= float64(served)
-		rep.Throughput = float64(served) / rep.WallSeconds
-		p50, p95, p99, max := stats.Summary(latencies)
-		rep.P50MS, rep.P95MS, rep.P99MS, rep.MaxMS = p50*1000, p95*1000, p99*1000, max*1000
+	if rep.WallSeconds > 0 {
+		rep.Throughput = float64(rep.Served()) / rep.WallSeconds
 	}
 
-	// Regional accounting: fold shards into their regions, bill each
-	// region's replica-seconds at its regional price times the run's
-	// time-averaged spot multiplier. (The multiplier is averaged over the
-	// run rather than integrated against the instantaneous replica count;
-	// with replica counts roughly constant the two agree.)
+	// Regional billing: each region's replica-seconds at its regional
+	// price times the run's time-averaged spot multiplier. (The multiplier
+	// is averaged over the run rather than integrated against the
+	// instantaneous replica count; with replica counts roughly constant
+	// the two agree.)
 	byRegion := map[string]*RegionReport{}
-	for i, st := range r.shards {
+	for _, st := range r.shards {
 		reg := byRegion[st.region]
 		if reg == nil {
-			reg = &RegionReport{Region: st.region, SpotMean: 1}
+			t := run.Groups[st.region]
+			reg = &RegionReport{
+				Region: st.region, OK: t.OK, Late: t.Late, Errors: t.Submitted - t.Served(),
+				SpotMean: 1, MeanAccuracy: t.MeanAccuracy,
+			}
 			byRegion[st.region] = reg
 		}
 		reg.Shards++
-		reg.OK += perShard[i].ok
-		reg.Late += perShard[i].late
-		reg.Errors += perShard[i].errs
-		reg.MeanAccuracy += perShard[i].accSum
 		reg.ReplicaSeconds += st.gw.ReplicaSeconds()
 	}
 	for _, name := range regions {
@@ -357,9 +283,6 @@ func RunLoad(r *Router, cfg LoadConfig) (*Report, error) {
 		if reg.OK > 0 {
 			reg.CostPerMillion = reg.CostUSD / (float64(reg.OK) / 1e6)
 		}
-		if n := reg.OK + reg.Late; n > 0 {
-			reg.MeanAccuracy /= float64(n)
-		}
 		rep.CostUSD += reg.CostUSD
 		rep.Regions = append(rep.Regions, *reg)
 	}
@@ -367,26 +290,6 @@ func RunLoad(r *Router, cfg LoadConfig) (*Report, error) {
 		rep.CostPerMillion = rep.CostUSD / (float64(rep.OK) / 1e6)
 	}
 	return rep, nil
-}
-
-// count buckets a submission or response failure. Router sheds
-// (ErrNoShard) and gateway sheds both land in Shed — to the client they
-// are the same refusal.
-func (r *Report) count(err error) {
-	switch serving.Classify(err) {
-	case serving.OutcomeShed:
-		r.Shed++
-	case serving.OutcomeExpired:
-		r.Expired++
-	case serving.OutcomeFaulted:
-		r.Faulted++
-	case serving.OutcomeStopped:
-		r.Stopped++
-	case serving.OutcomeRejected:
-		r.Rejected++
-	default:
-		r.Other++
-	}
 }
 
 // regionDownSeconds sums the schedule's RegionDown windows for one

@@ -259,11 +259,11 @@ func failoverable(err error) bool {
 // RTT, which is how a replay's latency distribution feels a failover's
 // geography.
 //
-// The returned channel delivers exactly one Routed response (or closes
-// on gateway shutdown with no failover target left), stamped with the
-// shard that actually served it; the int is the shard the request was
-// first placed on (failovers are visible in the shard.failovers
-// counter).
+// The returned channel delivers exactly one Routed response, stamped
+// with the shard that answered it — serving.ErrStopped when the gateways
+// shut down with no failover target left; the int is the shard the
+// request was first placed on (failovers are visible in the
+// shard.failovers counter).
 func (r *Router) Submit(ctx context.Context, key uint64, origin string, img *tensor.Tensor, deadline time.Time) (<-chan Routed, int, error) {
 	return r.SubmitAs(ctx, serving.DefaultTenant, key, origin, img, deadline)
 }
@@ -285,25 +285,19 @@ func (r *Router) SubmitAs(ctx context.Context, tenant string, key uint64, origin
 	}
 	out := make(chan Routed, 1)
 	go func() {
-		defer close(out)
 		cur := s
 		for tries := 0; ; tries++ {
-			resp, ok := <-ch
+			resp := <-ch
 			r.shards[cur].inflight.Add(-1)
-			if ok && (resp.Err == nil || !failoverable(resp.Err) || tries >= len(r.shards)-1) {
+			if resp.Err == nil || !failoverable(resp.Err) || tries >= len(r.shards)-1 {
 				r.deliver(ctx, out, resp, origin, cur)
 				return
 			}
-			if !ok && tries >= len(r.shards)-1 {
-				return // gateway stopped, nowhere left to go
-			}
-			// The shard failed the request (or its gateway stopped under
-			// us): resubmit on the next shard along the ring.
+			// The shard failed the request: resubmit on the next shard
+			// along the ring, or deliver the failure when none is left.
 			nch, ns, _, err := r.place(ctx, tenant, key, cur, img, deadline)
 			if err != nil {
-				if ok {
-					r.deliver(ctx, out, resp, origin, cur)
-				}
+				r.deliver(ctx, out, resp, origin, cur)
 				return
 			}
 			r.failovers.Inc()

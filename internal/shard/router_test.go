@@ -382,6 +382,55 @@ func TestRunLoadAccountsEveryRequestUnderChaos(t *testing.T) {
 	}
 }
 
+// TestRunLoadServesTenantOnlyShards: shards that host only declared
+// tenants (no Ladder, so no DefaultTenant) serve a replay whose arrivals
+// cycle through those tenants.
+func TestRunLoadServesTenantOnlyShards(t *testing.T) {
+	pruned, err := serving.DemoLadder([]float64{0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testFleet(t, 2, []string{"us-west", "us-east"}, nil, serving.Config{
+		Replicas: 1,
+		Tenants: []serving.Tenant{
+			{Name: "photos", Ladder: testLadder(t)},
+			{Name: "search", Ladder: pruned},
+		},
+	}, Config{})
+	rep, err := RunLoad(r, LoadConfig{Total: 40, Duration: 200 * time.Millisecond, Seed: 5, Deadline: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Submitted != 40 || rep.Served() != 40 {
+		t.Fatalf("tenant-only shards served %d of %d submitted: %s", rep.Served(), rep.Submitted, rep)
+	}
+}
+
+// TestRunLoadReturnsWhenStoppedMidReplay: gateways stopped under a
+// replay leave the router nowhere to place the remaining arrivals; the
+// replay still returns with every request in one bucket.
+func TestRunLoadReturnsWhenStoppedMidReplay(t *testing.T) {
+	r := testFleet(t, 2, []string{"us-west", "us-east"}, nil, serving.Config{Replicas: 1, QueueCap: 16}, Config{})
+	stopped := make(chan struct{})
+	time.AfterFunc(100*time.Millisecond, func() {
+		for _, st := range r.shards {
+			st.gw.Stop()
+		}
+		close(stopped)
+	})
+	rep, err := RunLoad(r, LoadConfig{Total: 200, Duration: 400 * time.Millisecond, Seed: 3})
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Shed+rep.Stopped == 0 {
+		t.Fatalf("no arrival after Stop was refused: %s", rep)
+	}
+	if got := outcomeSum(rep); got != rep.Submitted || rep.Submitted != 200 {
+		t.Fatalf("outcome buckets sum to %d, submitted %d: %s", got, rep.Submitted, rep)
+	}
+}
+
 // TestRouterServesTenantsAcrossShards: shards whose gateways host several
 // tenants route SubmitAs like any other request — each shard serves the
 // request on the named tenant's own ladder.

@@ -167,23 +167,3 @@ func TestCollectBench(t *testing.T) {
 		t.Fatal("Series on a missing name must return nil")
 	}
 }
-
-func TestBenchSnapshot(t *testing.T) {
-	results, err := ParseBench(strings.NewReader(sampleBenchOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := BenchSnapshot(results)
-	if s.Counters["bench.BenchmarkSpaceEnumeration.iterations"] != 10 {
-		t.Fatalf("counters = %+v", s.Counters)
-	}
-	if s.Gauges["bench.BenchmarkSpaceEnumeration.ns_per_op"] != 123456789 {
-		t.Fatalf("gauges = %+v", s.Gauges)
-	}
-	if s.Gauges["bench.BenchmarkAlgorithm1VsExhaustive/greedy.model-evals"] != 86 {
-		t.Fatalf("custom gauge missing: %+v", s.Gauges)
-	}
-	if s.UnixNano == 0 {
-		t.Fatal("snapshot must be timestamped")
-	}
-}

@@ -84,8 +84,3 @@ func Handler(reg *Registry, tr *Tracer) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
-
-// Serve blocks serving the debug surface on addr.
-func Serve(addr string, reg *Registry, tr *Tracer) error {
-	return http.ListenAndServe(addr, Handler(reg, tr))
-}

@@ -19,8 +19,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
 	"time"
 )
 
@@ -76,15 +74,6 @@ type HistogramSnapshot struct {
 type BucketCount struct {
 	UpperBound float64 `json:"le"`
 	Count      int64   `json:"count"`
-}
-
-// WriteSnapshotJSON writes a snapshot as indented JSON — the shared
-// serializer for Registry.WriteJSON and standalone snapshots such as
-// bench imports.
-func WriteSnapshotJSON(w io.Writer, s Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 func now() int64 { return time.Now().UnixNano() }

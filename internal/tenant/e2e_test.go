@@ -135,3 +135,32 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 		t.Fatalf("joint bill empty: cost=%v replica_seconds=%v", j.Cost, j.ReplicaSeconds)
 	}
 }
+
+// TestRunLoadReturnsWhenStoppedMidReplay: a fleet stopped under a replay
+// refuses every tenant's remaining arrivals; the replay still returns
+// with each tenant's requests in one bucket each.
+func TestRunLoadReturnsWhenStoppedMidReplay(t *testing.T) {
+	m, reg := testGateway(t, []Spec{
+		{Name: "a", OfferedQPS: 200},
+		{Name: "b", OfferedQPS: 100},
+	}, serving.Config{Replicas: 1, QueueCap: 16})
+	m.Start()
+	stopped := make(chan struct{})
+	time.AfterFunc(100*time.Millisecond, func() {
+		m.Stop()
+		close(stopped)
+	})
+	rep, err := RunLoad(m, reg, LoadConfig{Duration: 400 * time.Millisecond, Seed: 3})
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range rep.Tenants {
+		if tr.Stopped == 0 {
+			t.Fatalf("tenant %s: no arrival after Stop was refused: %+v", tr.Name, tr.Tally)
+		}
+		if got := tr.Served() + tr.Shed + tr.Expired + tr.Faulted + tr.Stopped + tr.Rejected + tr.Other; got != tr.Submitted {
+			t.Fatalf("tenant %s outcomes sum to %d, submitted %d", tr.Name, got, tr.Submitted)
+		}
+	}
+}

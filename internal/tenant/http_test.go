@@ -26,9 +26,10 @@ func postInfer(t *testing.T, srv *httptest.Server, body any) *http.Response {
 	return resp
 }
 
-// TestHandlerQuota429Accounting drives the HTTP surface of the quota
-// test: a capped tenant's overflow maps to 429 Too Many Requests, and
-// the per-tenant /gateway/status row carries the rejection count.
+// TestHandlerQuota429Accounting drives the gateway's HTTP surface
+// (serving.Handler) over a registry-built fleet: a capped tenant's
+// overflow maps to 429 Too Many Requests, and the per-tenant
+// /gateway/status row carries the rejection count.
 func TestHandlerQuota429Accounting(t *testing.T) {
 	m, _ := testGateway(t, []Spec{
 		{Name: "capped", QPS: 1, Burst: 1},
@@ -36,15 +37,15 @@ func TestHandlerQuota429Accounting(t *testing.T) {
 	}, serving.Config{})
 	m.Start()
 	defer m.Stop()
-	srv := httptest.NewServer(Handler(m, nil))
+	srv := httptest.NewServer(serving.Handler(m))
 	defer srv.Close()
 
 	var got429 int
 	for i := 0; i < 4; i++ {
-		resp := postInfer(t, srv, InferRequest{Tenant: "capped", Seed: int64(i)})
+		resp := postInfer(t, srv, serving.InferRequest{Tenant: "capped", Seed: int64(i)})
 		switch resp.StatusCode {
 		case http.StatusOK:
-			var ir InferResponse
+			var ir serving.InferResponse
 			if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +68,10 @@ func TestHandlerQuota429Accounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var status StatusReply
+	var status struct {
+		Tenants []serving.TenantStats `json:"tenants"`
+		Joint   *JointStatus          `json:"joint"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
@@ -93,22 +97,22 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 	m, _ := testGateway(t, []Spec{{Name: "a"}}, serving.Config{})
 	m.Start()
 	defer m.Stop()
-	srv := httptest.NewServer(Handler(m, nil))
+	srv := httptest.NewServer(serving.Handler(m))
 	defer srv.Close()
 
-	resp := postInfer(t, srv, InferRequest{Tenant: "ghost"})
+	resp := postInfer(t, srv, serving.InferRequest{Tenant: "ghost"})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown tenant status %d, want 404", resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	resp = postInfer(t, srv, InferRequest{})
+	resp = postInfer(t, srv, serving.InferRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing tenant status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	resp = postInfer(t, srv, InferRequest{Tenant: "a", Image: []float32{1, 2, 3}})
+	resp = postInfer(t, srv, serving.InferRequest{Tenant: "a", Image: []float32{1, 2, 3}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad image length status %d, want 400", resp.StatusCode)
 	}
@@ -140,21 +144,21 @@ func TestHandlerStatusIncludesJoint(t *testing.T) {
 	defer m.Stop()
 	sc.Tick()
 
-	srv := httptest.NewServer(Handler(m, sc))
+	srv := httptest.NewServer(Handler(sc))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/gateway/status")
+	resp, err := http.Get(srv.URL + "/joint/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var status StatusReply
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+	var joint *JointStatus
+	if err := json.NewDecoder(resp.Body).Decode(&joint); err != nil {
 		t.Fatal(err)
 	}
-	if status.Joint == nil || status.Joint.Ticks != 1 {
-		t.Fatalf("joint section missing or unticked: %+v", status.Joint)
+	if joint == nil || joint.Ticks != 1 {
+		t.Fatalf("joint section missing or unticked: %+v", joint)
 	}
-	if len(status.Joint.Tenants) != 1 || status.Joint.Tenants[0].Name != "a" {
-		t.Fatalf("joint tenant rows: %+v", status.Joint.Tenants)
+	if len(joint.Tenants) != 1 || joint.Tenants[0].Name != "a" {
+		t.Fatalf("joint tenant rows: %+v", joint.Tenants)
 	}
 }

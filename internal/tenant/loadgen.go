@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"ccperf/internal/serving"
-	"ccperf/internal/stats"
-	"ccperf/internal/telemetry"
+	"ccperf/internal/tensor"
 )
 
 // LoadConfig parameterizes one open-loop multi-tenant replay. Each tenant
@@ -32,74 +31,27 @@ type LoadConfig struct {
 	Scaler *Scaler
 }
 
-// TenantReport is one tenant's slice of a multi-tenant load test.
+// TenantReport is one tenant's slice of a multi-tenant load test. Its
+// Tally's Rejected counts the tenant's quota rejections (the 429s).
 type TenantReport struct {
 	Name       string  `json:"name"`
 	OfferedQPS float64 `json:"offered_qps"`
 	QPSQuota   float64 `json:"qps_quota"`
 	SLOMS      float64 `json:"slo_ms"`
 
-	Submitted int `json:"submitted"`
-	OK        int `json:"ok"`
-	// Rejected counts quota rejections (the 429s) — deliberate
-	// back-pressure on a tenant exceeding its own quota, excluded from
-	// ErrorRate.
-	Rejected int   `json:"rejected"`
-	Shed     int   `json:"shed"`
-	Expired  int   `json:"expired"`
-	Faulted  int   `json:"faulted"`
-	Stopped  int   `json:"stopped"`
-	Other    int   `json:"other"`
-	Retries  int64 `json:"retries"`
-
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-	MaxMS float64 `json:"max_ms"`
+	serving.Tally
+	Retries int64 `json:"retries"`
 
 	// OnTime counts served requests that beat the tenant's SLO;
 	// OnTimeFrac is their fraction of OK.
 	OnTime     int64   `json:"on_time"`
 	OnTimeFrac float64 `json:"on_time_frac"`
 
-	MeanAccuracy float64 `json:"mean_accuracy"`
-	PerVariant   []int   `json:"per_variant"`
-	Degrades     int64   `json:"degrades"`
-	Restores     int64   `json:"restores"`
+	Degrades int64 `json:"degrades"`
+	Restores int64 `json:"restores"`
 
 	// Stages attributes this tenant's latency to pipeline stages.
 	Stages serving.Stages `json:"stages"`
-}
-
-// ErrorRate is the tenant's failed fraction of submissions: shed,
-// expired, faulted, stopped or otherwise. Quota rejections are excluded:
-// a tenant over its own quota being told 429 is the isolation mechanism
-// working, not a service failure.
-func (t *TenantReport) ErrorRate() float64 {
-	if t.Submitted == 0 {
-		return 0
-	}
-	return float64(t.Shed+t.Expired+t.Faulted+t.Stopped+t.Other) / float64(t.Submitted)
-}
-
-// count adds one submission or response result to its outcome bucket.
-func (t *TenantReport) count(err error) {
-	switch serving.Classify(err) {
-	case serving.OutcomeOK:
-		t.OK++
-	case serving.OutcomeShed:
-		t.Shed++
-	case serving.OutcomeExpired:
-		t.Expired++
-	case serving.OutcomeFaulted:
-		t.Faulted++
-	case serving.OutcomeStopped:
-		t.Stopped++
-	case serving.OutcomeRejected:
-		t.Rejected++
-	default:
-		t.Other++
-	}
 }
 
 // Report summarizes one multi-tenant load test: per-tenant rows plus the
@@ -138,21 +90,17 @@ func (r *Report) ErrorRate() float64 {
 }
 
 // RunLoad replays every tenant's Poisson arrival process open-loop
-// against the gateway hosting reg's tenants: arrivals fire at their
-// scheduled offsets whether or not earlier requests completed. It returns
-// after every response has arrived and the cooldown has elapsed. The
-// caller owns Gateway Start/Stop (and Scaler Start/Stop).
+// against the gateway hosting reg's tenants: tenant i draws its stream
+// from Seed+i in registry order, and the streams merge by time into one
+// schedule. It returns after every response has arrived and the cooldown
+// has elapsed. The caller owns Gateway Start/Stop (and Scaler Start/Stop).
 func RunLoad(g *serving.Gateway, reg *Registry, cfg LoadConfig) (*Report, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("tenant: load config needs a positive duration")
 	}
 	specs := reg.Specs()
 	rep := &Report{Tenants: make([]TenantReport, len(specs))}
-
-	ctx, finishReplay := g.Config().Tracer.StartSpan(context.Background(), "tenant.replay")
-	start := time.Now()
-	var wg sync.WaitGroup
-
+	var sched []serving.Arrival
 	for i, spec := range specs {
 		rate := spec.OfferedQPS
 		if rate <= 0 {
@@ -161,80 +109,35 @@ func RunLoad(g *serving.Gateway, reg *Registry, cfg LoadConfig) (*Report, error)
 		if rate <= 0 {
 			rate = 20
 		}
-		tr := &rep.Tenants[i]
-		tr.Name = spec.Name
-		tr.OfferedQPS = rate
-		tr.QPSQuota = spec.QPS
-		tr.SLOMS = spec.SLOMS
-		tr.PerVariant = make([]int, len(g.Ladder(spec.Name)))
+		rep.Tenants[i] = TenantReport{Name: spec.Name, OfferedQPS: rate, QPSQuota: spec.QPS, SLOMS: spec.SLOMS}
+		// Poisson process: exponential inter-arrival gaps at the rate.
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
+		for at := time.Duration(0); ; {
+			at += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
+			if at >= cfg.Duration {
+				break
+			}
+			sched = append(sched, serving.Arrival{At: at, Tenant: spec.Name})
+		}
+	}
+	sort.SliceStable(sched, func(a, b int) bool { return sched[a].At < sched[b].At })
 
-		wg.Add(1)
-		go func(spec Spec, tr *TenantReport, rate float64, seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			shape := g.Ladder(spec.Name)[0].Net.Input
-			var mu sync.Mutex
-			latencies := []float64{}
-			var inner sync.WaitGroup
-			elapsed := time.Duration(0)
-			for n := int64(0); ; n++ {
-				// Poisson process: exponential inter-arrival at the rate.
-				elapsed += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-				if elapsed >= cfg.Duration {
-					break
-				}
-				if d := time.Until(start.Add(elapsed)); d > 0 {
-					time.Sleep(d)
-				}
-				img := serving.SyntheticImage(shape.C, shape.H, shape.W, seed+n)
-				mu.Lock()
-				tr.Submitted++
-				mu.Unlock()
-				ch, err := g.SubmitAs(ctx, spec.Name, img, time.Time{})
-				if err != nil {
-					mu.Lock()
-					tr.count(err)
-					mu.Unlock()
-					continue
-				}
-				inner.Add(1)
-				go func() {
-					defer inner.Done()
-					resp := <-ch
-					mu.Lock()
-					defer mu.Unlock()
-					tr.count(resp.Err)
-					if resp.Err != nil {
-						return
-					}
-					if resp.Variant < len(tr.PerVariant) {
-						tr.PerVariant[resp.Variant]++
-					}
-					tr.MeanAccuracy += resp.Accuracy
-					latencies = append(latencies, resp.Total.Seconds())
-				}()
-			}
-			inner.Wait()
-			mu.Lock()
-			defer mu.Unlock()
-			if tr.OK > 0 {
-				tr.MeanAccuracy /= float64(tr.OK)
-				p50, p95, p99, max := stats.Summary(latencies)
-				tr.P50MS, tr.P95MS, tr.P99MS, tr.MaxMS = p50*1000, p95*1000, p99*1000, max*1000
-			}
-		}(spec, tr, rate, cfg.Seed+int64(i))
-	}
-	wg.Wait()
-	finishReplay(telemetry.L("tenants", len(specs)))
-	if cfg.Cooldown > 0 {
-		time.Sleep(cfg.Cooldown)
-	}
-	rep.WallSeconds = time.Since(start).Seconds()
+	run := serving.Replay[serving.Response]{
+		Schedule: sched,
+		Seed:     cfg.Seed,
+		Cooldown: cfg.Cooldown,
+		Tracer:   g.Config().Tracer,
+		Ladder:   g.Ladder,
+		Submit: func(ctx context.Context, i int, img *tensor.Tensor, deadline time.Time) (<-chan serving.Response, error) {
+			return g.SubmitAs(ctx, sched[i].Tenant, img, deadline)
+		},
+	}.Run()
+	rep.WallSeconds = run.Wall.Seconds()
 
 	stages := g.StageStatsByTenant()
-	totalOK := 0
 	for i := range rep.Tenants {
 		tr := &rep.Tenants[i]
+		tr.Tally = run.Tenants[tr.Name]
 		st := g.TenantStats(tr.Name)
 		tr.Retries = st.Retries
 		tr.OnTime = st.OnTime
@@ -244,10 +147,9 @@ func RunLoad(g *serving.Gateway, reg *Registry, cfg LoadConfig) (*Report, error)
 			tr.OnTimeFrac = float64(tr.OnTime) / float64(st.Served)
 		}
 		tr.Stages = stages[tr.Name]
-		totalOK += tr.OK
 	}
 	if rep.WallSeconds > 0 {
-		rep.Throughput = float64(totalOK) / rep.WallSeconds
+		rep.Throughput = float64(run.Total.Served()) / rep.WallSeconds
 	}
 	if cfg.Scaler != nil {
 		js := cfg.Scaler.Status()

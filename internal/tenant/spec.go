@@ -19,7 +19,9 @@
 //     the fleet — which tenant degrades first (largest accuracy-per-
 //     dollar slack), which gets freed capacity, per-tenant $/hr
 //     enforcement.
-//   - The multi-tenant HTTP surface (Handler) and load driver (RunLoad).
+//   - The joint scaler's status endpoint (Handler) and the per-tenant
+//     Poisson schedule RunLoad replays through serving.Replay. The
+//     gateway itself is served by serving.Handler.
 //
 // The tenant spec format, fairness model and degrade-order semantics are
 // documented in docs/MULTITENANT.md.

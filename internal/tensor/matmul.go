@@ -124,13 +124,6 @@ func ParallelMatMul(a, b *Matrix, workers int) *Matrix {
 	return c
 }
 
-// ParallelMatMulInto computes C = A × B into dst, splitting rows of A
-// across workers. Small products (dst smaller than ParallelThreshold
-// elements) run serially.
-func ParallelMatMulInto(dst, a, b *Matrix, workers int) {
-	ParallelMatMulFusedInto(dst, a, b, nil, false, workers)
-}
-
 // ParallelMatMulFusedInto is MatMulFusedInto with rows of A split across
 // workers (≤ 0 uses GOMAXPROCS). The epilogue is row-local, so each worker
 // fuses bias and activation for its own row range.

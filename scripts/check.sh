@@ -23,6 +23,13 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== load generator flake leg (-race -count 3)"
+# The replay loop, the per-replica workspaces and the HTTP handlers run
+# timing-dependent goroutines; repeating them under the race detector
+# catches a flake that one pass lets through.
+go test -race -count 3 -run 'RunLoad|Replay|Pooled|Handler' \
+    ./internal/serving ./internal/tenant ./internal/shard
+
 echo "== bench smoke (go test -run - -bench . -benchtime 1x -count 2)"
 mkdir -p out
 # -count 2 gives every timing unit two samples, so the benchdiff gate can
