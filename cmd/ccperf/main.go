@@ -136,7 +136,7 @@ commands:
                 injects crashes; -max-error-rate/-max-p99 gate the exit;
                 -tenants <spec.json> hosts N tenants — own ladders, SLOs,
                 quotas, fair batching — on one shared fleet and reports
-                per-tenant rows plus the joint placement bill;
+                per-tenant rows, and with -autoscale the joint bill;
                 -shards N routes across N regional gateways by consistent
                 hashing with health-aware failover — -regions, -shape,
                 -origin-weights shape the hostile workload, -balance runs
@@ -150,8 +150,7 @@ commands:
                 (-gateway mounts the live gateway at /infer and
                 /gateway/status; -tenants hosts a spec file's tenants on
                 it instead of one ladder; -autoscale adds the control
-                plane at /autoscale/status, or with -tenants the joint
-                scaler at /joint/status)
+                plane over every tenant at /autoscale/status)
   benchjson     convert 'go test -bench' output to a ccperf/v1 bench
                 envelope (-count-aware; -sha/-benchtime/-count record
                 provenance, -loadtest folds a loadtest report's macro
@@ -560,7 +559,7 @@ func loadtestCmd(args []string) error {
 	cooldown := fs.Duration("cooldown", 500*time.Millisecond, "idle tail so the controller can restore accuracy")
 	ladderSpec := fs.String("ladder", "", "comma-separated prune ratios, e.g. 0,0.5,0.9 (default 0,0.3,0.5,0.7,0.9)")
 	instance := fs.String("instance", "p2.xlarge", "instance type pricing each replica")
-	autoscaleOn := fs.Bool("autoscale", false, "run the cost-accuracy autoscaler: replicas scale in [-min-replicas,-max-replicas] under -budget; the ladder degrades only when the budget binds")
+	autoscaleOn := fs.Bool("autoscale", false, "run the cost-accuracy autoscaler over the gateway's tenants (one ladder, or each -tenants tenant): replicas scale in [-min-replicas,-max-replicas] under -budget; a ladder degrades only when the budget binds, the tenant with the most accuracy-per-dollar slack first")
 	budget := fs.Float64("budget", 8, "fleet budget in $/hr (with -autoscale; 0 = none)")
 	minReplicas := fs.Int("min-replicas", 1, "autoscale floor (with -autoscale)")
 	maxReplicas := fs.Int("max-replicas", 8, "autoscale ceiling (with -autoscale)")
@@ -570,7 +569,7 @@ func loadtestCmd(args []string) error {
 	faultSpec := faultsFlag(fs, "crash@0:2+3,err:0.02,seed=7")
 	chaos := fs.Bool("chaos", false, "inject a canned seeded chaos schedule (crash replica 0 for the middle third of the run, plus a 2% error rate)")
 	maxErrorRate := fs.Float64("max-error-rate", 1, "exit non-zero when (shed+expired+faulted+stopped+other)/submitted exceeds this fraction (with -tenants: the worst tenant's)")
-	tenantsSpec := fs.String("tenants", "", "tenant spec file: host N ladders with per-tenant SLOs/quotas on one shared fleet (see docs/MULTITENANT.md; each tenant replays its own offered_qps Poisson load, so -requests/-pattern are ignored)")
+	tenantsSpec := fs.String("tenants", "", "tenant spec file: host N ladders with per-tenant SLOs/quotas on one shared fleet (see docs/MULTITENANT.md; each tenant replays its own offered_qps Poisson load, so -requests/-pattern are ignored; -autoscale drives the shared replicas and every tenant's rung)")
 	shards := fs.Int("shards", 0, "route across N sharded gateways spread over -regions (consistent hashing, health-aware regional failover; -pattern is replaced by -shape; see docs/RESILIENCE.md)")
 	regionsSpec := fs.String("regions", "us-west,us-east", "comma-separated regions hosting the shards round-robin (with -shards)")
 	shapeSpec := fs.String("shape", "", "composed arrival shape, e.g. \"diurnal:0.6@0.75,flash:0.5+0.05+0.2x4\" (with -shards; empty = uniform)")
@@ -707,7 +706,6 @@ func loadtestCmd(args []string) error {
 		return err
 	}
 	resolved := g.Config()
-	inst := st.Instance()
 	fmt.Printf("trace    : %s, %d requests over %d windows in %s (peak window %d)\n",
 		pat, trace.Total(), len(trace.Windows), *duration, trace.Peak())
 	fmt.Printf("gateway  : %d initial replicas × batch ≤%d, queue %d, SLO %s, ladder %d variants\n",
@@ -716,23 +714,7 @@ func loadtestCmd(args []string) error {
 		fmt.Printf("chaos    : %s\n", faults.String())
 	}
 	fmt.Print(rep.String())
-
-	var asStatus *autoscale.Status
-	if as := st.Autoscaler(); as != nil {
-		s := as.Status()
-		asStatus = &s
-		fmt.Printf("autoscale: %d ticks: %d scale-outs, %d scale-ins, %d degrades, %d restores\n",
-			s.Ticks, s.ScaleOuts, s.ScaleIns, s.Degrades, s.Restores)
-		fmt.Printf("fleet    : %d replicas final (allowed %d–%d), rung %d; last: %s\n",
-			s.Replicas, *minReplicas, *maxReplicas, s.Variant, s.LastDecision.Reason)
-		fmt.Printf("cost     : $%.4f realized (%.1f replica-seconds of %s; budget $%.2f/h)\n",
-			s.Cost, s.ReplicaSeconds, inst.Name, s.BudgetPerHour)
-	} else {
-		cost := inst.PricePerSecond() * rep.WallSeconds * float64(resolved.Replicas)
-		fmt.Printf("cost     : $%.4f (%d×%s for %.2f s; $%.2f/h fleet)\n",
-			cost, resolved.Replicas, inst.Name, rep.WallSeconds,
-			inst.PricePerHour*float64(resolved.Replicas))
-	}
+	asStatus := reportFleet(st)
 
 	if *reportOut != "" {
 		payload := struct {
@@ -757,16 +739,7 @@ func loadtestCmd(args []string) error {
 	if *maxP99 > 0 && rep.P99MS > maxP99.Seconds()*1000 {
 		return fmt.Errorf("loadtest: p99 %.1fms exceeds -max-p99 %s", rep.P99MS, *maxP99)
 	}
-	if asStatus != nil && *budget > 0 {
-		// The realized spend may not exceed the hourly budget pro-rated over
-		// the wall clock (5% slack covers the final partial tick).
-		allowed := *budget / 3600 * rep.WallSeconds * 1.05
-		if asStatus.Cost > allowed {
-			return fmt.Errorf("loadtest: realized cost $%.4f exceeds the $%.2f/h budget over %.2fs ($%.4f allowed)",
-				asStatus.Cost, *budget, rep.WallSeconds, allowed)
-		}
-	}
-	return nil
+	return budgetGate(asStatus, *budget, rep.WallSeconds)
 }
 
 // serveCmd exposes the live telemetry surface. With -demo it first runs a
@@ -774,7 +747,7 @@ func loadtestCmd(args []string) error {
 // -gateway it also starts an inference gateway and mounts its /infer and
 // /gateway/status routes on the same listener.
 func serveCmd(ctx context.Context, args []string) error {
-	fs := newFlagSet("serve", "HTTP telemetry endpoint: /metrics, /trace, /debug/pprof/ (-gateway or -tenants adds /infer and /gateway/status, -autoscale adds /autoscale/status or /joint/status)")
+	fs := newFlagSet("serve", "HTTP telemetry endpoint: /metrics, /trace, /debug/pprof/ (-gateway or -tenants adds /infer and /gateway/status, -autoscale adds /autoscale/status)")
 	addr := fs.String("addr", ":8080", "listen address")
 	model := modelFlag(fs)
 	demo := fs.Bool("demo", false, "run a small pareto enumeration first to populate metrics")
@@ -782,12 +755,12 @@ func serveCmd(ctx context.Context, args []string) error {
 	replicas := fs.Int("replicas", 0, "gateway replica batchers (0 = 2, or -min-replicas with -autoscale)")
 	slo := fs.Duration("slo", 50*time.Millisecond, "gateway p99 latency objective (with -gateway)")
 	ladderSpec := fs.String("ladder", "", "gateway prune-ratio ladder, e.g. 0,0.5,0.9 (with -gateway)")
-	autoscaleOn := fs.Bool("autoscale", false, "run the cost-accuracy autoscaler and mount /autoscale/status (implies -gateway)")
+	autoscaleOn := fs.Bool("autoscale", false, "run the cost-accuracy autoscaler over the gateway's tenants (one ladder or -tenants) and mount /autoscale/status (implies -gateway)")
 	budget := fs.Float64("budget", 8, "fleet budget in $/hr (with -autoscale; 0 = none)")
 	minReplicas := fs.Int("min-replicas", 1, "autoscale floor (with -autoscale)")
 	maxReplicas := fs.Int("max-replicas", 8, "autoscale ceiling (with -autoscale)")
 	instance := fs.String("instance", "p2.xlarge", "instance type pricing each replica (with -autoscale)")
-	tenantsSpec := fs.String("tenants", "", "tenant spec file: host its tenants on the gateway instead of one ladder (-autoscale adds the joint scaler at /joint/status)")
+	tenantsSpec := fs.String("tenants", "", "tenant spec file: host its tenants on the gateway instead of one ladder (-autoscale drives every tenant's rung)")
 	fs.Parse(args)
 
 	if *demo {
@@ -840,11 +813,6 @@ func serveCmd(ctx context.Context, args []string) error {
 			mux.Handle("/autoscale/status", autoscale.Handler(as))
 			fmt.Fprintf(os.Stderr, "serve: autoscaler up (%d–%d replicas, $%.2f/h budget, %s ticks)\n",
 				*minReplicas, *maxReplicas, *budget, as.Interval())
-		}
-		if sc := st.TenantScaler(); sc != nil {
-			mux.Handle("/joint/status", tenant.Handler(sc))
-			fmt.Fprintf(os.Stderr, "serve: joint scaler up (%d–%d replicas, $%.2f/h budget, %s ticks)\n",
-				*minReplicas, *maxReplicas, *budget, sc.Interval())
 		}
 		mux.Handle("/", handler)
 		handler = mux

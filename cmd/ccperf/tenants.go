@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ccperf"
+	"ccperf/internal/autoscale"
 	"ccperf/internal/cloud"
 	"ccperf/internal/explore"
 	"ccperf/internal/fault"
@@ -43,8 +44,9 @@ type tenantLoadtestOpts struct {
 
 // tenantLoadtest replays every tenant's own Poisson arrival process against
 // one shared multi-tenant fleet and reports per-tenant latency, accuracy,
-// quota rejections, and — with -autoscale — the joint placement bill
-// (per-tenant attributed cost, $/million-on-time, who degraded first).
+// quota rejections, and — with -autoscale, through the same reportFleet
+// as the single-tenant path — the joint bill (per-tenant rung, attributed
+// cost, $/million-on-time, who degraded first).
 func tenantLoadtest(o tenantLoadtestOpts) error {
 	specs, err := tenant.LoadSpecs(o.specPath)
 	if err != nil {
@@ -80,7 +82,6 @@ func tenantLoadtest(o tenantLoadtestOpts) error {
 		Duration: o.duration,
 		Seed:     o.seed,
 		Cooldown: o.cooldown,
-		Scaler:   st.TenantScaler(),
 	})
 	st.Close()
 	if runErr != nil {
@@ -94,17 +95,14 @@ func tenantLoadtest(o tenantLoadtestOpts) error {
 		fmt.Printf("chaos    : %s\n", o.faults.String())
 	}
 	fmt.Print(rep.String())
-	if rep.Joint == nil {
-		cost := st.Instance().PricePerSecond() * g.ReplicaSeconds()
-		fmt.Printf("cost     : $%.4f (%.1f replica-seconds of %s)\n",
-			cost, g.ReplicaSeconds(), st.Instance().Name)
-	}
+	asStatus := reportFleet(st)
 
 	if o.reportOut != "" {
 		payload := struct {
 			TenantReport *tenant.Report        `json:"tenant_report"`
 			Fleet        []serving.TenantStats `json:"tenants"`
-		}{rep, g.AllTenantStats()}
+			Autoscale    *autoscale.Status     `json:"autoscale,omitempty"`
+		}{rep, g.AllTenantStats(), asStatus}
 		if err := report.WriteEnvelopeFile(o.reportOut, report.KindLoadtest, payload); err != nil {
 			return fmt.Errorf("report-out: %w", err)
 		}
@@ -129,14 +127,7 @@ func tenantLoadtest(o tenantLoadtestOpts) error {
 			}
 		}
 	}
-	if rep.Joint != nil && o.budget > 0 {
-		allowed := o.budget / 3600 * rep.WallSeconds * 1.05
-		if rep.Joint.Cost > allowed {
-			return fmt.Errorf("loadtest: realized cost $%.4f exceeds the $%.2f/h budget over %.2fs ($%.4f allowed)",
-				rep.Joint.Cost, o.budget, rep.WallSeconds, allowed)
-		}
-	}
-	return nil
+	return budgetGate(asStatus, o.budget, rep.WallSeconds)
 }
 
 // packCmd enumerates multi-tenant packings offline: which tenants should

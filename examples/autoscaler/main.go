@@ -47,8 +47,9 @@ func replay(budget float64, maxReplicas int, trace *workload.Trace) {
 		rep.OK, rep.Submitted, rep.P99MS, rep.MeanAccuracy*100)
 	fmt.Printf("  decisions: %d scale-outs, %d degrades, %d restores, %d scale-ins\n",
 		s.ScaleOuts, s.Degrades, s.Restores, s.ScaleIns)
+	row := s.Tenants[0] // a single-ladder gateway's one tenant
 	fmt.Printf("  final fleet: %d replicas at ladder rung %d (%s)\n",
-		s.Replicas, s.Variant, s.Profiles[s.Variant].Degree)
+		s.Replicas, row.Variant, row.Degree)
 	fmt.Printf("  realized cost $%.4f over %.1f replica-seconds\n\n",
 		s.Cost, s.ReplicaSeconds)
 }

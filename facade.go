@@ -19,7 +19,8 @@ import (
 // Stack is the facade over the library's layers, all sharing one memoizing
 // prediction engine: the offline System (characterization) and Planner
 // (joint-space search) are always present; the online Gateway and
-// Autoscaler exist when requested via WithGateway / WithAutoscale.
+// Autoscaler exist when requested via WithGateway (or WithTenants) /
+// WithAutoscale.
 //
 // Open is the documented entry point; NewSystem and NewPlanner remain as
 // thin wrappers for callers that only want the offline layers.
@@ -28,8 +29,7 @@ type Stack struct {
 	planner *Planner
 	inst    *cloud.Instance
 	gw      *serving.Gateway
-	scaler  *autoscale.Autoscaler
-	tscaler *tenant.Scaler
+	scaler  *autoscale.Scaler
 
 	// Transfer prediction is fitted lazily on first use; the calibration
 	// set comes from WithCalibrationSet (default: the full catalog).
@@ -58,7 +58,6 @@ type options struct {
 	minReplicas int
 	maxReplicas int
 	interval    time.Duration
-	policy      *autoscale.Policy
 
 	registry *telemetry.Registry
 	tracer   *telemetry.Tracer
@@ -126,20 +125,13 @@ func WithAutoscale(budgetPerHour float64, min, max int) Option {
 // WithAutoscaleInterval sets the autoscaler's control tick (default 250ms).
 func WithAutoscaleInterval(d time.Duration) Option { return func(o *options) { o.interval = d } }
 
-// WithPolicy overrides the derived autoscale policy wholesale (Limits and
-// Profiles included); the other autoscale options are ignored when set.
-func WithPolicy(p autoscale.Policy) Option {
-	return func(o *options) { o.gateway, o.autoscale = true, true; o.policy = &p }
-}
-
 // WithTenants hosts N tenants — each with its own pruning ladder, SLO,
 // admission quota, and fair-share weight — on the gateway's shared replica
 // fleet instead of one model. Supersedes WithLadder: the gateway
 // (Gateway, also returned by TenantMux) serves each tenant through
-// SubmitAs. With WithAutoscale, a joint tenant.Scaler (TenantScaler)
-// drives the shared replica count and every tenant's ladder rung — which
-// tenant degrades first is the one with the largest accuracy-per-dollar
-// slack.
+// SubmitAs. With WithAutoscale, the Autoscaler drives the shared replica
+// count and every tenant's ladder rung — which tenant degrades first is
+// the one with the largest accuracy-per-dollar slack.
 func WithTenants(specs []tenant.Spec) Option {
 	return func(o *options) { o.tenants = specs }
 }
@@ -214,34 +206,31 @@ func Open(model string, opts ...Option) (*Stack, error) {
 		Registry:        o.registry,
 		Tracer:          o.tracer,
 	}
-	var reg *tenant.Registry
+	// The autoscaler sees a single-ladder gateway as its one DefaultTenant.
+	specs := []tenant.Spec{{Name: serving.DefaultTenant, Ladder: o.ratios}}
 	if len(o.tenants) > 0 {
-		if reg, err = tenant.NewRegistry(o.tenants); err != nil {
+		reg, err := tenant.NewRegistry(o.tenants)
+		if err != nil {
 			return nil, err
 		}
 		if cfg.Tenants, err = reg.Tenants(buildLadder); err != nil {
 			return nil, err
 		}
-		o.policy = nil // a Policy describes one ladder; the joint scaler derives its own
+		specs = reg.Specs()
 	} else if cfg.Ladder, err = buildLadder(o.ratios); err != nil {
 		return nil, err
 	}
 
 	cfg.Replicas = o.replicas
 	if o.autoscale {
-		if o.policy == nil {
-			if o.minReplicas <= 0 {
-				o.minReplicas = 1
-			}
-			if o.maxReplicas < o.minReplicas {
-				o.maxReplicas = o.minReplicas
-			}
+		if o.minReplicas <= 0 {
+			o.minReplicas = 1
+		}
+		if o.maxReplicas < o.minReplicas {
+			o.maxReplicas = o.minReplicas
 		}
 		if cfg.Replicas <= 0 {
 			cfg.Replicas = o.minReplicas
-			if o.policy != nil && o.policy.Limits.MinReplicas > 0 {
-				cfg.Replicas = o.policy.Limits.MinReplicas
-			}
 		}
 	}
 	gw, err := serving.New(cfg)
@@ -252,50 +241,24 @@ func Open(model string, opts ...Option) (*Stack, error) {
 	if !o.autoscale {
 		return st, nil
 	}
-	limits := autoscale.Limits{
-		MinReplicas:         o.minReplicas,
-		MaxReplicas:         o.maxReplicas,
-		PricePerReplicaHour: inst.PricePerHour,
-		BudgetPerHour:       o.budget,
+	ac := autoscale.Config{
+		Policy: autoscale.Policy{Limits: autoscale.Limits{
+			MinReplicas:         o.minReplicas,
+			MaxReplicas:         o.maxReplicas,
+			PricePerReplicaHour: inst.PricePerHour,
+			BudgetPerHour:       o.budget,
+		}},
+		Profiles:       make(map[string][]autoscale.Profile, len(specs)),
+		MaxCostPerHour: make(map[string]float64, len(specs)),
+		Interval:       o.interval,
 	}
-	maxBatch := gw.Config().MaxBatch
-	if reg != nil {
-		profiles := make(map[string][]autoscale.Profile, reg.Len())
-		for _, spec := range reg.Specs() {
-			if profiles[spec.Name], err = ladderProfiles(sys, spec.Ladder, inst, maxBatch); err != nil {
-				return nil, err
-			}
-		}
-		st.tscaler, err = tenant.NewScaler(gw, reg, tenant.ScalerConfig{
-			Policy:   autoscale.JointPolicy{Limits: limits},
-			Profiles: profiles,
-			Interval: o.interval,
-			Registry: o.registry,
-			Tracer:   o.tracer,
-		})
-		if err != nil {
+	for _, spec := range specs {
+		if ac.Profiles[spec.Name], err = ladderProfiles(sys, spec.Ladder, inst, gw.Config().MaxBatch); err != nil {
 			return nil, err
 		}
-		return st, nil
+		ac.MaxCostPerHour[spec.Name] = spec.MaxCostPerHour
 	}
-
-	var pol autoscale.Policy
-	if o.policy != nil {
-		pol = *o.policy
-	} else {
-		profiles, err := ladderProfiles(sys, o.ratios, inst, maxBatch)
-		if err != nil {
-			return nil, err
-		}
-		pol = autoscale.Policy{SLOSeconds: gw.Config().SLO.Seconds(), Limits: limits, Profiles: profiles}
-	}
-	st.scaler, err = autoscale.New(gw, autoscale.Config{
-		Policy:   pol,
-		Interval: o.interval,
-		Registry: o.registry,
-		Tracer:   o.tracer,
-	})
-	if err != nil {
+	if st.scaler, err = autoscale.New(gw, ac); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -339,8 +302,9 @@ func (st *Stack) Planner() *Planner { return st.planner }
 func (st *Stack) Gateway() *serving.Gateway { return st.gw }
 
 // Autoscaler returns the cost-accuracy control plane (nil unless
-// WithAutoscale).
-func (st *Stack) Autoscaler() *autoscale.Autoscaler { return st.scaler }
+// WithAutoscale): one scaler whether the gateway hosts one ladder or
+// WithTenants' tenants.
+func (st *Stack) Autoscaler() *autoscale.Scaler { return st.scaler }
 
 // TenantMux returns the gateway when it hosts WithTenants' tenants (nil
 // otherwise) — the same *serving.Gateway as Gateway, kept so callers that
@@ -351,10 +315,6 @@ func (st *Stack) TenantMux() *serving.Gateway {
 	}
 	return st.gw
 }
-
-// TenantScaler returns the joint multi-tenant control plane (nil unless
-// both WithTenants and WithAutoscale).
-func (st *Stack) TenantScaler() *tenant.Scaler { return st.tscaler }
 
 // Predictor returns the single memoizing prediction engine every view of
 // this stack shares.
@@ -399,17 +359,11 @@ func (st *Stack) Start() {
 	if st.scaler != nil {
 		st.scaler.Start()
 	}
-	if st.tscaler != nil {
-		st.tscaler.Start()
-	}
 }
 
 // Close stops the online components in reverse order (autoscaler, then
 // gateway, draining in-flight requests). Idempotent.
 func (st *Stack) Close() {
-	if st.tscaler != nil {
-		st.tscaler.Stop()
-	}
 	if st.scaler != nil {
 		st.scaler.Stop()
 	}

@@ -88,14 +88,20 @@ func TestOpenAutoscaleStack(t *testing.T) {
 	if pol.Limits.PricePerReplicaHour != st.Instance().PricePerHour {
 		t.Fatalf("replica price %v != instance price %v", pol.Limits.PricePerReplicaHour, st.Instance().PricePerHour)
 	}
-	if pol.SLOSeconds != 0.08 {
-		t.Fatalf("SLOSeconds = %v, want 0.08", pol.SLOSeconds)
+	// The one tenant's SLO and profiles, as the policy sees them.
+	sig := as.Tick().Signal
+	if len(sig.Tenants) != 1 || sig.Tenants[0].Name != serving.DefaultTenant {
+		t.Fatalf("single-ladder gateway signal tenants = %+v, want the default tenant", sig.Tenants)
 	}
-	if len(pol.Profiles) != 3 {
-		t.Fatalf("%d profiles for a 3-rung ladder", len(pol.Profiles))
+	one := sig.Tenants[0]
+	if one.SLOSeconds != 0.08 {
+		t.Fatalf("SLOSeconds = %v, want 0.08", one.SLOSeconds)
 	}
-	if pol.Profiles[0].Speed != 1 || pol.Profiles[2].Speed < pol.Profiles[1].Speed {
-		t.Fatalf("profile speeds not anchored/monotone: %+v", pol.Profiles)
+	if len(one.Profiles) != 3 {
+		t.Fatalf("%d profiles for a 3-rung ladder", len(one.Profiles))
+	}
+	if one.Profiles[0].Speed != 1 || one.Profiles[2].Speed < one.Profiles[1].Speed {
+		t.Fatalf("profile speeds not anchored/monotone: %+v", one.Profiles)
 	}
 	// The gateway starts at the floor and is externally controlled.
 	if got := st.Gateway().ReplicaCount(); got != 2 {
@@ -113,8 +119,8 @@ func TestOpenAutoscaleStack(t *testing.T) {
 }
 
 // TestOpenTenantsStack: WithTenants builds the multi-tenant gateway (each
-// tenant with its own ladder) and, with WithAutoscale, the joint scaler
-// whose profiles come from the shared predictor.
+// tenant with its own ladder) and, with WithAutoscale, the one scaler
+// driving every tenant, whose profiles come from the shared predictor.
 func TestOpenTenantsStack(t *testing.T) {
 	specs := []tenant.Spec{
 		{Name: "a", Ladder: []float64{0, 0.5}, SLOMS: 500, QPS: 50},
@@ -131,9 +137,9 @@ func TestOpenTenantsStack(t *testing.T) {
 	if st.Gateway() != m {
 		t.Fatal("WithTenants hosts the tenants on the stack's one gateway")
 	}
-	sc := st.TenantScaler()
+	sc := st.Autoscaler()
 	if sc == nil {
-		t.Fatal("WithTenants + WithAutoscale must build a joint scaler")
+		t.Fatal("WithTenants + WithAutoscale must build the autoscaler")
 	}
 	if lim := sc.Policy().Limits; lim.MinReplicas != 1 || lim.MaxReplicas != 4 ||
 		lim.BudgetPerHour != 6 || lim.PricePerReplicaHour != st.Instance().PricePerHour {

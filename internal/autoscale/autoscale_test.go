@@ -2,6 +2,8 @@ package autoscale
 
 import (
 	"context"
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -15,9 +17,13 @@ import (
 	"ccperf/internal/workload"
 )
 
-// testStack builds an externally-controlled gateway over a 3-rung demo
-// ladder plus an autoscaler with the given limits, on private telemetry.
-func testStack(t *testing.T, replicas int, pol Policy) (*serving.Gateway, *Autoscaler) {
+// testProfiles describes the 3-rung demo ladder testStack serves.
+var testProfiles = map[string][]Profile{serving.DefaultTenant: testLadder}
+
+// testStack builds an externally-controlled single-tenant gateway over a
+// 3-rung demo ladder with the given SLO, plus a scaler driving it with
+// the given policy, on private telemetry.
+func testStack(t *testing.T, replicas int, slo time.Duration, pol Policy) (*serving.Gateway, *Scaler) {
 	t.Helper()
 	ladder, err := serving.DemoLadder([]float64{0, 0.5, 0.9})
 	if err != nil {
@@ -26,20 +32,13 @@ func testStack(t *testing.T, replicas int, pol Policy) (*serving.Gateway, *Autos
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(256)
 	g, err := serving.New(serving.Config{
-		Ladder: ladder, Replicas: replicas, ExternalControl: true,
+		Ladder: ladder, Replicas: replicas, SLO: slo, ExternalControl: true,
 		Registry: reg, Tracer: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.Profiles == nil {
-		pol.Profiles = []Profile{
-			{Degree: "nonpruned", Accuracy: 0.57, Speed: 1},
-			{Degree: "conv@50", Accuracy: 0.52, Speed: 1.6},
-			{Degree: "conv@90", Accuracy: 0.30, Speed: 2.4},
-		}
-	}
-	a, err := New(g, Config{Policy: pol, Interval: 20 * time.Millisecond, Registry: reg, Tracer: tr})
+	a, err := New(g, Config{Policy: pol, Profiles: testProfiles, Interval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +69,12 @@ func TestNewValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := Policy{SLOSeconds: 1, Profiles: []Profile{{Speed: 1}}} // 1 profile, 2 rungs
-	if _, err := New(g, Config{Policy: pol}); err == nil {
+	one := map[string][]Profile{serving.DefaultTenant: {{Speed: 1}}} // 1 profile, 2 rungs
+	if _, err := New(g, Config{Profiles: one}); err == nil {
 		t.Fatal("profile/ladder length mismatch must fail")
+	}
+	if _, err := New(g, Config{}); err == nil {
+		t.Fatal("a tenant without profiles must fail")
 	}
 }
 
@@ -80,9 +82,8 @@ func TestNewValidates(t *testing.T) {
 // replica and leaves the ladder alone; the very next violated tick waits
 // out the scale cooldown instead of panic-degrading.
 func TestTickScaleOutBeforeDegrade(t *testing.T) {
-	g, a := testStack(t, 1, Policy{
-		SLOSeconds: 1e-9, // every served request violates
-		Limits:     Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1, BudgetPerHour: 10},
+	g, a := testStack(t, 1, time.Nanosecond, Policy{ // every served request violates
+		Limits: Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1, BudgetPerHour: 10},
 	})
 	g.Start()
 	defer g.Stop()
@@ -111,9 +112,8 @@ func TestTickScaleOutBeforeDegrade(t *testing.T) {
 // TestTickDegradeWhenBudgetBinds: same surge, but the budget covers only
 // the current fleet — the ladder moves instead of the replica count.
 func TestTickDegradeWhenBudgetBinds(t *testing.T) {
-	g, a := testStack(t, 1, Policy{
-		SLOSeconds: 1e-9,
-		Limits:     Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1, BudgetPerHour: 1},
+	g, a := testStack(t, 1, time.Nanosecond, Policy{
+		Limits: Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1, BudgetPerHour: 1},
 	})
 	g.Start()
 	defer g.Stop()
@@ -134,10 +134,9 @@ func TestTickDegradeWhenBudgetBinds(t *testing.T) {
 // TestTickQuietScaleInAfterStreak: an idle over-provisioned fleet holds
 // through the healthy streak, then returns a replica.
 func TestTickQuietScaleInAfterStreak(t *testing.T) {
-	g, a := testStack(t, 2, Policy{
-		SLOSeconds: 10, // nothing violates
-		HoldTicks:  3,
-		Limits:     Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1, BudgetPerHour: 10},
+	g, a := testStack(t, 2, 10*time.Second, Policy{ // nothing violates
+		HoldTicks: 3,
+		Limits:    Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1, BudgetPerHour: 10},
 	})
 	g.Start()
 	defer g.Stop()
@@ -166,8 +165,7 @@ func TestTickQuietScaleInAfterStreak(t *testing.T) {
 // while p99 stays inside a generous SLO.
 func TestE2ELoadtestHoldsBudgetAndSLO(t *testing.T) {
 	const budget = 8.0 // $/hr, price $1/hr per replica, max 8
-	g, a := testStack(t, 1, Policy{
-		SLOSeconds: 0.050,
+	g, a := testStack(t, 1, 50*time.Millisecond, Policy{
 		// A long healthy streak (~600ms at the 20ms tick) so the fleet holds
 		// through the valleys between trace windows instead of re-ramping
 		// from scratch at every peak.
@@ -274,17 +272,29 @@ func TestBuildProfiles(t *testing.T) {
 
 // TestStatusHandler smoke-tests the /autoscale/status endpoint shape.
 func TestStatusHandler(t *testing.T) {
-	g, a := testStack(t, 1, Policy{
-		SLOSeconds: 0.05,
-		Limits:     Limits{MinReplicas: 1, MaxReplicas: 2, PricePerReplicaHour: 1, BudgetPerHour: 2},
+	g, a := testStack(t, 1, 50*time.Millisecond, Policy{
+		Limits: Limits{MinReplicas: 1, MaxReplicas: 2, PricePerReplicaHour: 1, BudgetPerHour: 2},
 	})
 	g.Start()
 	defer g.Stop()
 	a.Tick()
 
-	st := a.Status()
-	if st.BudgetPerHour != 2 || st.Replicas != 1 || len(st.Profiles) != 3 {
+	srv := httptest.NewServer(Handler(a))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/autoscale/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.BudgetPerHour != 2 || st.Replicas != 1 || len(st.Tenants) != 1 {
 		t.Fatalf("status = %+v", st)
+	}
+	if row := st.Tenants[0]; row.Name != serving.DefaultTenant || row.Variant != 0 || row.Degree != g.Ladder(row.Name)[0].Degree.Label() {
+		t.Fatalf("tenant row = %+v, want the default tenant at rung 0", row)
 	}
 	if st.LastDecision.Tick != 1 {
 		t.Fatalf("last decision tick = %d, want 1", st.LastDecision.Tick)
@@ -297,24 +307,23 @@ func TestStatusHandler(t *testing.T) {
 func TestStatusCountsArePerInstance(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(64)
-	build := func() (*serving.Gateway, *Autoscaler) {
+	build := func() (*serving.Gateway, *Scaler) {
 		ladder, err := serving.DemoLadder([]float64{0, 0.9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		g, err := serving.New(serving.Config{
-			Ladder: ladder, Replicas: 1, ExternalControl: true,
+			Ladder: ladder, Replicas: 1, SLO: 10 * time.Second, ExternalControl: true,
 			Registry: reg, Tracer: tr,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pol := Policy{
-			SLOSeconds: 10,
-			Profiles:   []Profile{{Degree: "nonpruned", Speed: 1}, {Degree: "conv@90", Speed: 2}},
-			Limits:     Limits{MinReplicas: 1, MaxReplicas: 2, PricePerReplicaHour: 1, BudgetPerHour: 4},
+			Limits: Limits{MinReplicas: 1, MaxReplicas: 2, PricePerReplicaHour: 1, BudgetPerHour: 4},
 		}
-		a, err := New(g, Config{Policy: pol, Registry: reg, Tracer: tr})
+		prof := map[string][]Profile{serving.DefaultTenant: {{Degree: "nonpruned", Speed: 1}, {Degree: "conv@90", Speed: 2}}}
+		a, err := New(g, Config{Policy: pol, Profiles: prof})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"ccperf/internal/cloud"
 	"ccperf/internal/engine"
 	"ccperf/internal/prune"
+	"ccperf/internal/serving"
 )
 
 // BuildProfiles asks the shared engine.Predictor what each ladder rung is
@@ -44,4 +45,21 @@ func BuildProfiles(ctx context.Context, pred engine.Predictor, degrees []prune.D
 		out = append(out, Profile{Degree: d.Label(), Accuracy: acc.Top1, Speed: speed})
 	}
 	return out, nil
+}
+
+// ProfilesFromLadder derives profiles from a built variant ladder:
+// accuracy proxies come from the variants, speeds from the caller
+// (predictor-derived per-batch time ratios; nil = all 1, a conservative
+// "degrading frees nothing" model that makes the policy prefer replicas).
+// Use BuildProfiles when a predictor is available.
+func ProfilesFromLadder(ladder []serving.Variant, speeds []float64) []Profile {
+	out := make([]Profile, len(ladder))
+	for i, v := range ladder {
+		speed := 1.0
+		if i < len(speeds) && speeds[i] > 0 {
+			speed = speeds[i]
+		}
+		out[i] = Profile{Degree: v.Degree.Label(), Accuracy: v.Accuracy, Speed: speed}
+	}
+	return out
 }

@@ -106,10 +106,9 @@ func (g *Gateway) controlLoop() {
 
 // ControlSignal drains the first tenant's latency window (the only one of
 // a single-tenant gateway) accumulated since the last call and snapshots
-// its queue pressure — one control interval's observation. It is
-// consumed either by the gateway's own pruning controller or, under
-// Config.ExternalControl, by the autoscaler that has taken over both the
-// ladder and the replica count. Healthy carries the built-in controller's
+// its queue pressure — one control interval's observation. The gateway's
+// own pruning controller consumes it, and so can an outside control loop
+// such as shard.Balancer. Healthy carries the built-in controller's
 // streak; an external controller keeps its own.
 func (g *Gateway) ControlSignal() Signal {
 	sig := g.signal(g.tenants[0])

@@ -26,8 +26,9 @@
 //     single-tenant gateway along its ladder of pre-pruned variants when
 //     the observed p99 latency or queue pressure violates the SLO —
 //     trading accuracy for throughput along exactly the axis of
-//     Figures 6–8. Multi-tenant ladders move through SetTenantVariant,
-//     driven by internal/tenant's joint scaler.
+//     Figures 6–8. Under Config.ExternalControl, internal/autoscale's
+//     Scaler moves every tenant's ladder (SetTenantVariant) and the
+//     replica count instead.
 //
 // Every admission decision, batch execution and ladder move is recorded in
 // internal/telemetry (metric names in docs/SERVING.md).
@@ -121,8 +122,9 @@ type Config struct {
 	// instance boot time (default 0). Replicas present at Start are warm.
 	WarmupDelay time.Duration
 	// ExternalControl disables the built-in pruning controller so an
-	// outside control plane (internal/autoscale) owns both the ladder and
-	// the replica count, through ControlSignal, SetVariant and ScaleTo.
+	// outside control plane (internal/autoscale) owns both the ladders and
+	// the replica count, through TenantSignal, SetTenantVariant and
+	// ScaleTo.
 	// A gateway with Tenants is always externally controlled.
 	ExternalControl bool
 	// Registry and Tracer receive telemetry (nil = package defaults).

@@ -365,6 +365,17 @@ func (g *Gateway) lookup(name string) (*tenantState, error) {
 	return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 }
 
+// Tenants returns the resolved tenant declarations in declaration order,
+// inherited defaults filled in — a single-tenant gateway's one
+// DefaultTenant included.
+func (g *Gateway) Tenants() []Tenant {
+	out := make([]Tenant, len(g.tenants))
+	for i, t := range g.tenants {
+		out[i] = t.Tenant
+	}
+	return out
+}
+
 // Ladder returns the named tenant's variant ladder (nil for an unknown
 // tenant; shared slice, do not mutate).
 func (g *Gateway) Ladder(name string) []Variant {

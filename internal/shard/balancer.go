@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ccperf/internal/autoscale"
@@ -17,7 +16,7 @@ import (
 // region's shards), asks the pure autoscale.RegionalPolicy for actions,
 // and actuates them — biases on the router for traffic shifting, ladder
 // rungs on the region's gateways for degradation. It follows the
-// observe/decide/actuate shape of autoscale.Autoscaler one level up.
+// observe/decide/actuate shape of autoscale.Scaler one level up.
 //
 // Gateways under a Balancer should run with ExternalControl so the
 // built-in per-gateway controller does not fight the regional one over
@@ -34,9 +33,10 @@ type Balancer struct {
 	ticks int
 	last  []autoscale.RegionAction
 
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	started atomic.Bool
+	startOnce sync.Once
+	stopOnce  sync.Once
+	stop      chan struct{}
+	done      chan struct{}
 }
 
 // NewBalancer validates the policy and binds it to the router. sched
@@ -56,6 +56,7 @@ func NewBalancer(r *Router, pol autoscale.RegionalPolicy, sched *fault.Schedule,
 		interval: interval,
 		elapsed:  func() float64 { return time.Since(start).Seconds() },
 		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}, nil
 }
 
@@ -152,32 +153,29 @@ func (b *Balancer) Last() []autoscale.RegionAction {
 }
 
 // Start launches the background control loop. Stop halts it; both are
-// idempotent.
+// idempotent, and a stopped balancer stays stopped (Start after Stop is a
+// no-op).
 func (b *Balancer) Start() {
-	if !b.started.CompareAndSwap(false, true) {
-		return
-	}
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		tick := time.NewTicker(b.interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-b.stop:
-				return
-			case <-tick.C:
-				b.Tick(context.Background())
+	b.startOnce.Do(func() {
+		go func() {
+			defer close(b.done)
+			tick := time.NewTicker(b.interval)
+			defer tick.Stop()
+			for {
+				select {
+				case <-b.stop:
+					return
+				case <-tick.C:
+					b.Tick(context.Background())
+				}
 			}
-		}
-	}()
+		}()
+	})
 }
 
 // Stop halts the control loop.
 func (b *Balancer) Stop() {
-	if !b.started.CompareAndSwap(true, false) {
-		return
-	}
-	close(b.stop)
-	b.wg.Wait()
+	b.stopOnce.Do(func() { close(b.stop) })
+	b.startOnce.Do(func() { close(b.done) }) // never started: unblock waiters
+	<-b.done
 }

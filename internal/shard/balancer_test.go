@@ -97,3 +97,28 @@ func TestBalancerStartStop(t *testing.T) {
 		t.Fatal("invalid policy accepted")
 	}
 }
+
+// TestBalancerRestartStaysStopped: Start → Stop → Start → Stop neither
+// panics nor revives the loop — a stopped balancer stays stopped.
+func TestBalancerRestartStaysStopped(t *testing.T) {
+	r := testFleet(t, 2, []string{"us-west"}, nil,
+		serving.Config{Replicas: 1, ExternalControl: true}, Config{})
+	b, err := NewBalancer(r, autoscale.RegionalPolicy{SLOSeconds: 0.05}, nil, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Start()
+	b.Stop()
+	b.Start()
+	b.Stop()
+	ticks := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.ticks
+	}
+	before := ticks()
+	time.Sleep(20 * time.Millisecond)
+	if after := ticks(); after != before {
+		t.Fatalf("restarted balancer kept ticking: %d → %d ticks", before, after)
+	}
+}

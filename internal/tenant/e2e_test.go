@@ -6,7 +6,6 @@ import (
 
 	"ccperf/internal/autoscale"
 	"ccperf/internal/serving"
-	"ccperf/internal/telemetry"
 )
 
 // TestEndToEndFloodIsolationAndJointPlacement is the PR's acceptance
@@ -17,8 +16,8 @@ import (
 //   - B's p99 stays under B's SLO and B's error rate under 1% (quota +
 //     DRR isolation held),
 //   - A's flood shows up as quota rejections in A's own ledger,
-//   - the joint report prices each tenant's $/million-on-time requests,
-//     and names A — the tenant with the largest accuracy-per-dollar
+//   - the autoscaler's status prices each tenant's $/million-on-time
+//     requests, and names A — the tenant with the largest accuracy-per-dollar
 //     slack — as the one that degraded first.
 func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 	// Rates are sized so the test also passes under -race (~20× slower
@@ -39,19 +38,17 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 		MaxBatch: 2,
 	})
 	profiles := map[string][]autoscale.Profile{
-		"a": ProfilesFromLadder(m.Ladder("a"), []float64{1, 1.6, 2.5}),
-		"b": ProfilesFromLadder(m.Ladder("b"), []float64{1, 1}),
+		"a": autoscale.ProfilesFromLadder(m.Ladder("a"), []float64{1, 1.6, 2.5}),
+		"b": autoscale.ProfilesFromLadder(m.Ladder("b"), []float64{1, 1}),
 	}
-	sc, err := NewScaler(m, reg, ScalerConfig{
-		Policy: autoscale.JointPolicy{
+	sc, err := autoscale.New(m, autoscale.Config{
+		Policy: autoscale.Policy{
 			// MaxReplicas = 1 closes the scale-out escape hatch: capacity
 			// pressure must be paid in accuracy, exposing degrade order.
 			Limits: autoscale.Limits{MinReplicas: 1, MaxReplicas: 1, PricePerReplicaHour: 1.0},
 		},
 		Profiles: profiles,
 		Interval: 25 * time.Millisecond,
-		Registry: telemetry.NewRegistry(),
-		Tracer:   telemetry.NewTracer(256),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +60,6 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 		Duration: 1200 * time.Millisecond,
 		Seed:     42,
 		Cooldown: 100 * time.Millisecond,
-		Scaler:   sc,
 	})
 	sc.Stop()
 	m.Stop()
@@ -100,11 +96,11 @@ func TestEndToEndFloodIsolationAndJointPlacement(t *testing.T) {
 			a.Rejected, a.Submitted)
 	}
 
-	// Joint placement: the report prices each tenant and names who paid
-	// for capacity pressure first.
-	j := rep.Joint
-	if j == nil {
-		t.Fatal("report carries no joint status")
+	// Joint placement: the scaler's status prices each tenant and names
+	// who paid for capacity pressure first.
+	j := sc.Status()
+	if j.Ticks == 0 {
+		t.Fatal("the scaler never ticked")
 	}
 	if j.DegradedFirst != "a" {
 		t.Fatalf("degraded first = %q, want tenant a (largest accuracy-per-dollar slack); last decision: %+v",

@@ -10,7 +10,6 @@ import (
 
 	"ccperf/internal/autoscale"
 	"ccperf/internal/serving"
-	"ccperf/internal/telemetry"
 )
 
 func postInfer(t *testing.T, srv *httptest.Server, body any) *http.Response {
@@ -70,7 +69,7 @@ func TestHandlerQuota429Accounting(t *testing.T) {
 	defer resp.Body.Close()
 	var status struct {
 		Tenants []serving.TenantStats `json:"tenants"`
-		Joint   *JointStatus          `json:"joint"`
+		Joint   *autoscale.Status     `json:"joint"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
@@ -128,14 +127,15 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestHandlerStatusIncludesJoint: the autoscaler's /autoscale/status
+// over a registry-built fleet carries the joint placement view, one row
+// per tenant.
 func TestHandlerStatusIncludesJoint(t *testing.T) {
-	m, reg := testGateway(t, []Spec{{Name: "a", Ladder: []float64{0, 0.9}}}, serving.Config{})
-	sc, err := NewScaler(m, reg, ScalerConfig{
-		Policy:   autoscale.JointPolicy{Limits: autoscale.Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1}},
-		Profiles: map[string][]autoscale.Profile{"a": ProfilesFromLadder(m.Ladder("a"), nil)},
+	m, _ := testGateway(t, []Spec{{Name: "a", Ladder: []float64{0, 0.9}}}, serving.Config{})
+	sc, err := autoscale.New(m, autoscale.Config{
+		Policy:   autoscale.Policy{Limits: autoscale.Limits{MinReplicas: 1, MaxReplicas: 4, PricePerReplicaHour: 1}},
+		Profiles: map[string][]autoscale.Profile{"a": autoscale.ProfilesFromLadder(m.Ladder("a"), nil)},
 		Interval: time.Hour, // ticked manually, never by the clock
-		Registry: telemetry.NewRegistry(),
-		Tracer:   telemetry.NewTracer(64),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,14 +144,14 @@ func TestHandlerStatusIncludesJoint(t *testing.T) {
 	defer m.Stop()
 	sc.Tick()
 
-	srv := httptest.NewServer(Handler(sc))
+	srv := httptest.NewServer(autoscale.Handler(sc))
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/joint/status")
+	resp, err := http.Get(srv.URL + "/autoscale/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var joint *JointStatus
+	var joint *autoscale.Status
 	if err := json.NewDecoder(resp.Body).Decode(&joint); err != nil {
 		t.Fatal(err)
 	}

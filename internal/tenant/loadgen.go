@@ -22,13 +22,9 @@ type LoadConfig struct {
 	// Seed drives every tenant's arrival process (tenant i draws from
 	// Seed+i in registry order, so runs replay deterministically).
 	Seed int64
-	// Cooldown keeps the fleet running idle after the last arrival so the
-	// joint scaler can observe recovery (0 = none).
+	// Cooldown keeps the fleet running idle after the last arrival so an
+	// autoscaler can observe recovery (0 = none).
 	Cooldown time.Duration
-	// Scaler, when non-nil, folds the joint placement status — per-tenant
-	// attributed cost, $/million-on-time, who degraded first — into the
-	// report.
-	Scaler *Scaler
 }
 
 // TenantReport is one tenant's slice of a multi-tenant load test. Its
@@ -54,16 +50,12 @@ type TenantReport struct {
 	Stages serving.Stages `json:"stages"`
 }
 
-// Report summarizes one multi-tenant load test: per-tenant rows plus the
-// joint placement view.
+// Report summarizes one multi-tenant load test, one row per tenant.
 type Report struct {
 	Tenants     []TenantReport `json:"tenants"`
 	WallSeconds float64        `json:"wall_seconds"`
 	// Throughput is fleet-wide served requests per wall second.
 	Throughput float64 `json:"throughput_rps"`
-	// Joint is the scaler's final status (nil when no scaler ran): the
-	// fleet bill split per tenant, $/million-on-time, degrade order.
-	Joint *JointStatus `json:"joint,omitempty"`
 }
 
 // Tenant returns the named row (nil when absent).
@@ -93,7 +85,7 @@ func (r *Report) ErrorRate() float64 {
 // against the gateway hosting reg's tenants: tenant i draws its stream
 // from Seed+i in registry order, and the streams merge by time into one
 // schedule. It returns after every response has arrived and the cooldown
-// has elapsed. The caller owns Gateway Start/Stop (and Scaler Start/Stop).
+// has elapsed. The caller owns Gateway Start/Stop (and any autoscaler's).
 func RunLoad(g *serving.Gateway, reg *Registry, cfg LoadConfig) (*Report, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("tenant: load config needs a positive duration")
@@ -151,15 +143,11 @@ func RunLoad(g *serving.Gateway, reg *Registry, cfg LoadConfig) (*Report, error)
 	if rep.WallSeconds > 0 {
 		rep.Throughput = float64(run.Total.Served()) / rep.WallSeconds
 	}
-	if cfg.Scaler != nil {
-		js := cfg.Scaler.Status()
-		rep.Joint = &js
-	}
 	return rep, nil
 }
 
 // String renders the report for the CLI: one block per tenant plus the
-// joint placement summary.
+// fleet throughput.
 func (r *Report) String() string {
 	var b strings.Builder
 	for i := range r.Tenants {
@@ -172,16 +160,5 @@ func (r *Report) String() string {
 			t.MeanAccuracy*100, t.PerVariant, t.Degrades, t.Restores)
 	}
 	fmt.Fprintf(&b, "fleet: %.0f req/s served over %.2f s\n", r.Throughput, r.WallSeconds)
-	if j := r.Joint; j != nil {
-		fmt.Fprintf(&b, "joint: %d replicas, $%.4f total ($%.2f/hr), %d scale-outs, %d scale-ins\n",
-			j.Replicas, j.Cost, j.CostPerHour, j.ScaleOuts, j.ScaleIns)
-		if j.DegradedFirst != "" {
-			fmt.Fprintf(&b, "joint: degraded first: %s; next in line: %v\n", j.DegradedFirst, j.DegradeOrder)
-		}
-		for _, tc := range j.Tenants {
-			fmt.Fprintf(&b, "joint: %-10s share %.0f%%, $%.4f attributed, $%.2f/M on-time (%d on-time)\n",
-				tc.Name, tc.Share*100, tc.CostUSD, tc.DollarsPerMillionOnTime, tc.OnTime)
-		}
-	}
 	return b.String()
 }

@@ -15,13 +15,13 @@
 //   - Specs and the Registry: the spec-file format, validation and
 //     defaults, turned into serving.Tenant declarations by
 //     Registry.Tenants.
-//   - Joint placement: a Scaler binds the pure autoscale.JointPolicy to
-//     the fleet — which tenant degrades first (largest accuracy-per-
-//     dollar slack), which gets freed capacity, per-tenant $/hr
-//     enforcement.
-//   - The joint scaler's status endpoint (Handler) and the per-tenant
-//     Poisson schedule RunLoad replays through serving.Replay. The
-//     gateway itself is served by serving.Handler.
+//   - The per-tenant Poisson schedule RunLoad replays through
+//     serving.Replay.
+//
+// The gateway itself is served by serving.Handler, and autoscale.Scaler
+// drives it — which tenant degrades first (largest accuracy-per-dollar
+// slack), which gets freed capacity, per-tenant $/hr enforcement — with
+// each spec's MaxCostPerHour passed in by name.
 //
 // The tenant spec format, fairness model and degrade-order semantics are
 // documented in docs/MULTITENANT.md.
@@ -49,7 +49,7 @@ type Spec struct {
 	// own variant set — rungs are never shared across tenants.
 	Ladder []float64 `json:"ladder,omitempty"`
 	// SLOMS is the tenant's p99 latency objective in milliseconds
-	// (default 50). On-time accounting and the joint scaler defend it.
+	// (default 50). On-time accounting and the autoscaler defend it.
 	SLOMS float64 `json:"slo_ms,omitempty"`
 	// DeadlineMS is the per-request deadline in milliseconds applied at
 	// admission when the caller supplies none (0 = no deadline).
@@ -68,7 +68,7 @@ type Spec struct {
 	// is shed with serving.ErrOverloaded.
 	QueueCap int `json:"queue_cap,omitempty"`
 	// MaxCostPerHour caps the tenant's attributed share of the fleet burn
-	// rate (0 = uncapped); the joint scaler degrades a tenant over its
+	// rate (0 = uncapped); the autoscaler degrades a tenant over its
 	// cap regardless of fleet health.
 	MaxCostPerHour float64 `json:"max_cost_per_hour,omitempty"`
 	// OfferedQPS is the open-loop load RunLoad generates for this tenant

@@ -86,6 +86,12 @@ go run -race ./cmd/ccperf loadtest \
     -autoscale -budget 2.7 -min-replicas 1 -max-replicas 3 \
     -autoscale-interval 100ms -max-p99 2s
 
+echo "== tenant autoscale smoke (the same scaler over a two-tenant fleet; budget and p99 gates)"
+go run -race ./cmd/ccperf loadtest \
+    -tenants examples/tenants.json -duration 2s -replicas 1 -max-batch 4 \
+    -autoscale -budget 2.7 -min-replicas 1 -max-replicas 3 \
+    -autoscale-interval 100ms -max-p99 2s
+
 echo "== sharded chaos smoke (3 shards / 2 regions, correlated regional failure mid-replay)"
 # The resilience claim, gated: us-east goes dark for the middle third of
 # the replay under a 2x spot spike, and client-visible errors must stay
