@@ -104,6 +104,38 @@ func BenchmarkAlgorithm1VsExhaustive(b *testing.B) {
 	benchExperiment(b, "alg1")
 }
 
+// BenchmarkPlannerIteration times one planning session the way a user
+// runs it: a fresh Planner, Frontiers on the paper's Figure 9/10 request
+// (cold prediction cache), Frontiers on the same request with a 0.9×
+// deadline (warm cache), then Allocate and AllocateExhaustive on the
+// paper's request. Each iteration checks the evaluation counts.
+func BenchmarkPlannerIteration(b *testing.B) {
+	ctx := context.Background()
+	paper := Request{Images: W1M, DeadlineHours: Fig9DeadlineSeconds / 3600, BudgetUSD: Fig10BudgetUSD}
+	tighter := paper
+	tighter.DeadlineHours *= 0.9
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := NewPlanner(Caffenet)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range []Request{paper, tighter} {
+			if n, _, _, err := p.Frontiers(ctx, r); err != nil || n == 0 {
+				b.Fatalf("Frontiers: %d feasible, %v", n, err)
+			}
+		}
+		a, err := p.Allocate(ctx, paper)
+		if err != nil || a.Ops != 106 {
+			b.Fatalf("Allocate: %d evaluations, %v", a.Ops, err)
+		}
+		e, err := p.AllocateExhaustive(ctx, paper)
+		if err != nil || e.Ops != 30660 {
+			b.Fatalf("AllocateExhaustive: %d evaluations, %v", e.Ops, err)
+		}
+	}
+}
+
 // BenchmarkAblationSparseGEMM compares the dense GEMM and CSR SpMM kernels
 // a pruned convolution can run through, across weight sparsities — the
 // crossover that justifies the sparse execution path (DESIGN.md §6.1).

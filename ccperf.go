@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"ccperf/internal/accuracy"
 	"ccperf/internal/cloud"
@@ -205,9 +206,21 @@ type Plan struct {
 	Ops     int // analytical-model evaluations spent searching
 }
 
-// Planner explores the joint configuration space for one model.
+// Planner explores the joint configuration space for one model. It is
+// safe for concurrent use. The pruned-variant sample depends only on the
+// request's Variants and Seed, so a planner draws it once per pair and
+// reuses it for every later request.
 type Planner struct {
 	sys *System
+
+	mu      sync.Mutex
+	samples map[sampleKey][]prune.Degree
+}
+
+// sampleKey is what a variant sample depends on.
+type sampleKey struct {
+	variants int
+	seed     int64
 }
 
 // NewPlanner builds a planner for a paper model.
@@ -264,9 +277,35 @@ func instReplicas(i *cloud.Instance, n int) []*cloud.Instance {
 	return out
 }
 
-// degrees builds the pruned-variant set: live variants only (Top-1 ≥ 15%),
-// matching the paper's 60-version Caffenet space.
+// degrees returns the pruned-variant set, drawn on the first request for
+// its (Variants, Seed) and shared read-only afterwards: live variants only
+// (Top-1 ≥ 15%), matching the paper's 60-version Caffenet space. The
+// sample runs outside the lock, so a cold seed does not stall requests
+// for memoised ones; a sample is deterministic for its key, so when two
+// requests race to fill one key the first stored copy wins and the other
+// is dropped.
 func (p *Planner) degrees(r *Request) []prune.Degree {
+	k := sampleKey{r.Variants, r.Seed}
+	p.mu.Lock()
+	ds, ok := p.samples[k]
+	p.mu.Unlock()
+	if ok {
+		return ds
+	}
+	ds = p.sample(r)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if prev, ok := p.samples[k]; ok {
+		return prev
+	}
+	if p.samples == nil {
+		p.samples = map[sampleKey][]prune.Degree{}
+	}
+	p.samples[k] = ds
+	return ds
+}
+
+func (p *Planner) sample(r *Request) []prune.Degree {
 	var layers []string
 	if p.sys.Model == Caffenet {
 		layers = models.CaffenetConvNames()

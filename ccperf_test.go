@@ -3,7 +3,9 @@ package ccperf
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccperf/internal/prune"
@@ -227,5 +229,75 @@ func TestAccessors(t *testing.T) {
 	}
 	if p.System() == nil || p.System().Model != Caffenet {
 		t.Fatal("System accessor")
+	}
+}
+
+// plannerAnswers is everything one planner returns for one request.
+type plannerAnswers struct {
+	feasible          int
+	time, cost        []FrontierPoint
+	alloc, exhaustive Plan
+}
+
+func answerAll(ctx context.Context, p *Planner, r Request) (plannerAnswers, error) {
+	var a plannerAnswers
+	var err error
+	if a.feasible, a.time, a.cost, err = p.Frontiers(ctx, r); err != nil {
+		return a, err
+	}
+	if a.alloc, err = p.Allocate(ctx, r); err != nil {
+		return a, err
+	}
+	a.exhaustive, err = p.AllocateExhaustive(ctx, r)
+	return a, err
+}
+
+// TestPlannerSharedMatchesFresh shares one planner between goroutines that
+// ask for two variant samples (two seeds) at once, and requires every
+// answer to equal a fresh planner's: the per-planner sample memo must
+// neither mix the seeds up nor race (run it under -race).
+func TestPlannerSharedMatchesFresh(t *testing.T) {
+	ctx := context.Background()
+	reqs := []Request{
+		{Images: W1M, DeadlineHours: Fig9DeadlineSeconds / 3600, BudgetUSD: Fig10BudgetUSD, Seed: 42},
+		{Images: W1M, DeadlineHours: Fig9DeadlineSeconds / 3600, BudgetUSD: Fig10BudgetUSD, Seed: 7},
+	}
+	want := make([]plannerAnswers, len(reqs))
+	for i, r := range reqs {
+		p, err := NewPlanner(Caffenet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = answerAll(ctx, p, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reflect.DeepEqual(want[0], want[1]) {
+		t.Fatal("the two seeds give the same answers; the test cannot tell them apart")
+	}
+
+	shared, err := NewPlanner(Caffenet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perSeed = 3
+	got := make([]plannerAnswers, len(reqs)*perSeed)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = answerAll(ctx, shared, reqs[g%len(reqs)])
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if w := want[g%len(reqs)]; !reflect.DeepEqual(got[g], w) {
+			t.Fatalf("goroutine %d (seed %d): shared planner answered %+v, fresh planner %+v", g, reqs[g%len(reqs)].Seed, got[g], w)
+		}
 	}
 }

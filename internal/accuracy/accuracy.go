@@ -149,7 +149,9 @@ func (c *Calibrated) Evaluate(d prune.Degree) (TopK, error) {
 	}
 	drop1, drop5 := 0.0, 0.0
 	keff := 0.0
-	for layer, r := range d.Ratios {
+	// Sum in layer-name order so one degree always gets the same bits.
+	for _, layer := range d.Layers() {
+		r := d.Ratios[layer]
 		if r <= 0 {
 			continue
 		}

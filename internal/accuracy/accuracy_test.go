@@ -243,3 +243,36 @@ func TestTopKValid(t *testing.T) {
 		t.Fatal("negative accepted")
 	}
 }
+
+// TestEvaluateDeterministic rebuilds one multi-layer degree many times —
+// each build is a fresh map, so range order varies between builds — and
+// requires Evaluate to return the same bits every time.
+func TestEvaluateDeterministic(t *testing.T) {
+	for _, ev := range []*Calibrated{caffenet(t), googlenet(t)} {
+		layers := models.CaffenetConvNames()
+		if ev.ModelName() == models.GooglenetName {
+			layers = models.GooglenetSelectedConvNames()
+		}
+		ratios := []float64{0.2, 0.5, 0.5, 0.6, 0.2, 0.7}
+		build := func() prune.Degree {
+			d := prune.Degree{Ratios: map[string]float64{}}
+			for i, l := range layers {
+				d.Ratios[l] = ratios[i]
+			}
+			return d
+		}
+		want, err := ev.Evaluate(build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			got, err := ev.Evaluate(build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.Top1) != math.Float64bits(want.Top1) || math.Float64bits(got.Top5) != math.Float64bits(want.Top5) {
+				t.Fatalf("%s: Evaluate call %d = %+v, first call %+v", ev.ModelName(), i, got, want)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ package cloud
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -133,7 +134,7 @@ type Config struct {
 // NewConfig builds a configuration from instances (order normalized).
 func NewConfig(instances ...*Instance) Config {
 	c := Config{Instances: append([]*Instance(nil), instances...)}
-	sort.Slice(c.Instances, func(a, b int) bool { return c.Instances[a].Name < c.Instances[b].Name })
+	slices.SortStableFunc(c.Instances, func(a, b *Instance) int { return strings.Compare(a.Name, b.Name) })
 	return c
 }
 
@@ -185,6 +186,55 @@ type Perf interface {
 	// MaxBatch returns b_i, the saturating parallel inference count for
 	// the instance (all GPUs).
 	MaxBatch(it *Instance) int
+}
+
+// Tabulate reads perf once for each distinct instance type of pool — b_i,
+// then t_{b_i} when b_i > 0 — and returns a Perf answering from those
+// values. A search that evaluates many configurations of one pool under
+// one degree of pruning (every subset, every greedy prefix) then pays for
+// one model read per instance type instead of one per instance of every
+// configuration. Questions about other instances or batch sizes go to
+// perf. The table is read-only once built, so it is safe for concurrent
+// use.
+func Tabulate(perf Perf, pool []*Instance) Perf {
+	t := &perfTable{inner: perf}
+	for _, it := range pool {
+		if slices.Contains(t.types, it) {
+			continue
+		}
+		b := perf.MaxBatch(it)
+		var sec float64
+		if b > 0 {
+			sec = perf.BatchTime(it, b)
+		}
+		t.types = append(t.types, it)
+		t.batch = append(t.batch, b)
+		t.secs = append(t.secs, sec)
+	}
+	return t
+}
+
+// perfTable is Tabulate's Perf: a pool has a handful of instance types,
+// so a linear scan over them is the lookup.
+type perfTable struct {
+	inner Perf
+	types []*Instance
+	batch []int
+	secs  []float64
+}
+
+func (t *perfTable) MaxBatch(it *Instance) int {
+	if i := slices.Index(t.types, it); i >= 0 {
+		return t.batch[i]
+	}
+	return t.inner.MaxBatch(it)
+}
+
+func (t *perfTable) BatchTime(it *Instance, b int) float64 {
+	if i := slices.Index(t.types, it); i >= 0 && t.batch[i] == b {
+		return t.secs[i]
+	}
+	return t.inner.BatchTime(it, b)
 }
 
 // Estimate is the output of the analytical model for one configuration.

@@ -75,10 +75,12 @@ func (c *Cache) Accuracy(ctx context.Context, d prune.Degree) (accuracy.TopK, er
 }
 
 // Perf returns a cloud.Perf whose BatchTime is memoized in the cache, so
-// every configuration sharing an instance type reuses one evaluation —
-// the dominant win of a joint-space enumeration, where |P|·(2^|G|−1)
-// model evaluations collapse onto |P|·|instance types| distinct keys.
-// MaxBatch delegates directly (it is arithmetic, not a model evaluation).
+// every adapter for one degree reuses one evaluation per (instance type,
+// batch size). The joint-space searches in internal/explore already read
+// each (degree, instance type) batch time once per search
+// (cloud.Tabulate); the memo is what lets the next search — a warm
+// Frontiers call, Allocate, Exhaustive — skip the model. MaxBatch
+// delegates directly (it is arithmetic, not a model evaluation).
 func (c *Cache) Perf(d prune.Degree, gpus int) cloud.Perf {
 	return &cachedPerf{c: c, inner: c.inner.Perf(d, gpus), dkey: d.Label(), gpus: gpus}
 }
@@ -93,42 +95,15 @@ type cachedPerf struct {
 	inner cloud.Perf
 	dkey  string
 	gpus  int
-
-	// Per-adapter fast path: a subset enumeration asks for the same few
-	// (instance type, batch) pairs hundreds of times back to back, so a
-	// linear scan over a handful of entries beats rebuilding the shared
-	// memo's string key on every call. The shared memo still backs the
-	// first lookup, so adapters for the same degree reuse each other's
-	// evaluations.
-	mu    sync.Mutex
-	local []perfEntry
-}
-
-type perfEntry struct {
-	inst *cloud.Instance
-	b    int
-	v    float64
 }
 
 // BatchTime implements cloud.Perf. cloud.Perf has no error or context in
 // its contract, so fills run under context.Background() and a fill that
 // panics (e.g. an unknown GPU kind) propagates as it would uncached.
 func (p *cachedPerf) BatchTime(it *cloud.Instance, b int) float64 {
-	p.mu.Lock()
-	for i := range p.local {
-		if p.local[i].inst == it && p.local[i].b == b {
-			v := p.local[i].v
-			p.mu.Unlock()
-			return v
-		}
-	}
-	p.mu.Unlock()
 	v, _ := p.c.perf.get(context.Background(), key(p.dkey, it.Name, p.gpus, b), func() (float64, error) {
 		return p.inner.BatchTime(it, b), nil
 	})
-	p.mu.Lock()
-	p.local = append(p.local, perfEntry{inst: it, b: b, v: v})
-	p.mu.Unlock()
 	return v
 }
 

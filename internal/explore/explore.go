@@ -6,10 +6,13 @@
 // TAR/CAR-guided greedy resource allocation that replaces the exponential
 // subset search with an O(|G| log |G|)-per-degree heuristic (Section 4.5.3).
 //
-// All searches consume predictions through engine.Predictor; pass an
-// engine.Cache (wrapping the measurement harness) and every (degree,
-// instance-type) evaluation is made once and shared across the |P|·(2^|G|−1)
-// configurations that reuse it.
+// All searches consume predictions through engine.Predictor. Each search
+// reads one degree's batch times once per instance type of the pool
+// (cloud.Tabulate) and evaluates every configuration of that degree from
+// them, so the |P|·(2^|G|−1) configurations of an enumeration cost
+// |P|·|instance types| predictions. Pass an engine.Cache (wrapping the
+// measurement harness) and those predictions are also shared across
+// searches.
 package explore
 
 import (
@@ -128,7 +131,7 @@ func (s *Space) Enumerate(ctx context.Context) ([]Candidate, error) {
 					errs[di] = err
 					continue
 				}
-				perf := s.Pred.Perf(d, 0)
+				perf := cloud.Tabulate(s.Pred.Perf(d, 0), s.Pool)
 				base := di * len(configs)
 				for ci, cfg := range configs {
 					est, err := cloud.EstimateRunWith(cfg, s.W, perf, s.Dist)
@@ -312,7 +315,7 @@ func Allocate(ctx context.Context, p engine.Predictor, in Input) (res Result, er
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		perf := p.Perf(dr.d, 0)
+		perf := cloud.Tabulate(p.Perf(dr.d, 0), in.Pool)
 		// Sort G ascending by CAR: cost of running the whole workload on
 		// that instance alone, per unit accuracy.
 		type gCar struct {
@@ -416,7 +419,7 @@ func Exhaustive(ctx context.Context, p engine.Predictor, in Input) (out Result, 
 			return Result{}, err
 		}
 		a := in.Metric.Pick(acc)
-		perf := p.Perf(d, 0)
+		perf := cloud.Tabulate(p.Perf(d, 0), in.Pool)
 		for _, cfg := range configs {
 			est, err := cloud.EstimateRunWith(cfg, in.W, perf, in.Dist)
 			if err != nil {

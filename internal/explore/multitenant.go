@@ -127,7 +127,7 @@ func EnumeratePackings(ctx context.Context, pred engine.Predictor, tenants []Ten
 			if err != nil {
 				return nil, err
 			}
-			evals[ti][ri] = rungEval{acc: acc, a: m.Pick(acc), perf: pred.Perf(d, 0)}
+			evals[ti][ri] = rungEval{acc: acc, a: m.Pick(acc), perf: cloud.Tabulate(pred.Perf(d, 0), pool)}
 		}
 	}
 

@@ -154,9 +154,12 @@ func calibrationFor(model string) *calibration {
 
 // Response returns R(degree) ∈ (0,1]: the factor by which the degree of
 // pruning multiplies per-image work, R = Π_l (1−φ_l·r_l) · exp(−γ·r₁·r₂).
+// The product runs in layer-name order, so one degree always gets the
+// same bits.
 func (c *calibration) Response(d prune.Degree) float64 {
 	r := 1.0
-	for layer, ratio := range d.Ratios {
+	for _, layer := range d.Layers() {
+		ratio := d.Ratios[layer]
 		if ratio <= 0 {
 			continue
 		}

@@ -415,3 +415,31 @@ func TestJitterDeterministicAcrossSimulators(t *testing.T) {
 		}
 	}
 }
+
+// TestResponseDeterministic rebuilds one multi-layer degree many times —
+// each build is a fresh map, so range order varies between builds — and
+// requires Response to return the same bits every time. A product folded
+// in map order rounds differently from one order to the next.
+func TestResponseDeterministic(t *testing.T) {
+	for _, model := range []string{models.CaffenetName, models.GooglenetName} {
+		cal := calibrationFor(model)
+		layers := models.CaffenetConvNames()
+		if model == models.GooglenetName {
+			layers = models.GooglenetSelectedConvNames()
+		}
+		ratios := []float64{0.2, 0.5, 0.5, 0.6, 0.2, 0.7}
+		build := func() prune.Degree {
+			d := prune.Degree{Ratios: map[string]float64{}}
+			for i, l := range layers {
+				d.Ratios[l] = ratios[i]
+			}
+			return d
+		}
+		want := cal.Response(build())
+		for i := 0; i < 1000; i++ {
+			if got := cal.Response(build()); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Response call %d = %v, first call %v", model, i, got, want)
+			}
+		}
+	}
+}

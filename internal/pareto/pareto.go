@@ -4,7 +4,11 @@
 // configuration has both higher accuracy and lower objective.
 package pareto
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Point is one candidate: maximize Accuracy, minimize Objective. Payload
 // carries the caller's configuration identity through the filter.
@@ -32,12 +36,13 @@ func Frontier(points []Point) []Point {
 	}
 	sorted := append([]Point(nil), points...)
 	// Sort by accuracy descending; ties by objective ascending so the best
-	// of each accuracy level comes first.
-	sort.SliceStable(sorted, func(a, b int) bool {
-		if sorted[a].Accuracy != sorted[b].Accuracy {
-			return sorted[a].Accuracy > sorted[b].Accuracy
+	// of each accuracy level comes first, and stably so that of equal
+	// points the first occurrence does.
+	slices.SortStableFunc(sorted, func(p, q Point) int {
+		if c := cmp.Compare(q.Accuracy, p.Accuracy); c != 0 {
+			return c
 		}
-		return sorted[a].Objective < sorted[b].Objective
+		return cmp.Compare(p.Objective, q.Objective)
 	})
 	var out []Point
 	bestObj := sorted[0].Objective
@@ -53,7 +58,8 @@ func Frontier(points []Point) []Point {
 			lastAcc = p.Accuracy
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Accuracy < out[b].Accuracy })
+	// Accuracy strictly falls along out, so reversing sorts it ascending.
+	slices.Reverse(out)
 	return out
 }
 

@@ -2,6 +2,8 @@ package pareto
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -214,5 +216,62 @@ func TestFrontier3Property(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refFrontier is Frontier's contract stated by brute force: the points
+// IsOptimal accepts, each (accuracy, objective) pair once as its first
+// occurrence, in ascending accuracy.
+func refFrontier(points []Point) []Point {
+	var out []Point
+	for i, p := range points {
+		if !IsOptimal(p, points) {
+			continue
+		}
+		first := true
+		for _, q := range points[:i] {
+			if q.Accuracy == p.Accuracy && q.Objective == p.Objective {
+				first = false
+				break
+			}
+		}
+		if first {
+			out = append(out, p)
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Accuracy < out[b].Accuracy })
+	return out
+}
+
+// Property: Frontier equals the brute-force reference point for point,
+// payloads included, on inputs drawn from few accuracy and objective
+// levels so that equal accuracies, equal objectives and exact duplicates
+// are common.
+func TestFrontierMatchesBruteForce(t *testing.T) {
+	f := func(seed int64, nRaw uint8) bool {
+		n := int(nRaw%60) + 1
+		rng := rand.New(rand.NewSource(seed))
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{
+				Accuracy:  float64(rng.Intn(6)) / 10,
+				Objective: float64(rng.Intn(6)),
+				Payload:   i,
+			}
+		}
+		return reflect.DeepEqual(Frontier(pts), refFrontier(pts))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	// The first of exact duplicates survives, wherever it sits.
+	pts := []Point{
+		{Accuracy: 0.5, Objective: 2, Payload: "first"},
+		{Accuracy: 0.4, Objective: 1, Payload: "low"},
+		{Accuracy: 0.5, Objective: 2, Payload: "second"},
+	}
+	fr := Frontier(pts)
+	if len(fr) != 2 || fr[1].Payload != "first" {
+		t.Fatalf("Frontier = %+v, want the low point then the first duplicate", fr)
 	}
 }

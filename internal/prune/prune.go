@@ -10,6 +10,7 @@ package prune
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -304,28 +305,40 @@ func (d Degree) IsUnpruned() bool {
 	return true
 }
 
+// Layers returns the degree's layer names in sorted order, zero ratios
+// included. Anything that folds per-layer terms (a product, a sum, a
+// label) walks this order, so its result does not depend on map order.
+func (d Degree) Layers() []string {
+	ls := make([]string, 0, len(d.Ratios))
+	for k := range d.Ratios {
+		ls = append(ls, k)
+	}
+	slices.Sort(ls)
+	return ls
+}
+
 // Label renders a stable human-readable identifier, e.g.
-// "conv1@30+conv2@50" or "nonpruned".
+// "conv1@30+conv2@50" or "nonpruned": the positive ratios in layer order,
+// each as a percentage rounded to 0.1 and written as %g writes it. The
+// engine cache keys every prediction by it.
 func (d Degree) Label() string {
-	type kv struct {
-		k string
-		v float64
-	}
-	var items []kv
-	for k, v := range d.Ratios {
-		if v > 0 {
-			items = append(items, kv{k, v})
-		}
-	}
-	if len(items) == 0 {
+	if d.IsUnpruned() {
 		return "nonpruned"
 	}
-	sort.Slice(items, func(a, b int) bool { return items[a].k < items[b].k })
-	parts := make([]string, len(items))
-	for i, it := range items {
-		parts[i] = fmt.Sprintf("%s@%g", it.k, math.Round(it.v*1000)/10)
+	buf := make([]byte, 0, 12*len(d.Ratios))
+	for _, k := range d.Layers() {
+		v := d.Ratios[k]
+		if !(v > 0) {
+			continue
+		}
+		if len(buf) > 0 {
+			buf = append(buf, '+')
+		}
+		buf = append(buf, k...)
+		buf = append(buf, '@')
+		buf = strconv.AppendFloat(buf, math.Round(v*1000)/10, 'g', -1, 64)
 	}
-	return strings.Join(parts, "+")
+	return string(buf)
 }
 
 // Clone deep-copies the degree.
